@@ -54,7 +54,6 @@
 #include "sim/network.hpp"
 #include "sim/round_driver.hpp"
 #include "sim/session_churn.hpp"
-#include "sim/trace.hpp"
 
 // The paper's analysis.
 #include "analysis/decay.hpp"

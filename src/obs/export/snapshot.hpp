@@ -172,9 +172,7 @@ class SnapshotStreamer {
   void add_sink(std::unique_ptr<SnapshotSink> sink);
 
   // Register an externally-fed metric. Registers a real registry gauge /
-  // counter under `name` (this may invalidate cached slab pointers — the
-  // same caveat as any registration, so wire probes before attaching the
-  // streamer to a driver). The closure is evaluated once per capture,
+  // counter under `name`. The closure is evaluated once per capture,
   // immediately before the registry is read. Counter probes must return a
   // monotonically non-decreasing cumulative value; the streamer feeds the
   // registry the per-capture delta.

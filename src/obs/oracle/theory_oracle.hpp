@@ -153,8 +153,6 @@ class TheoryOracle {
 
   // Optional: mirror the per-probe drift scores into registry gauges
   // ("drift_degree_out", ..., "drift_violations") written on `shard`.
-  // Must be called before the driver caches raw slab pointers (the
-  // drivers' attach methods handle this ordering).
   void bind_registry(MetricsRegistry* registry, std::size_t shard);
 
   // Arm a post-mortem dump: on the first DriftMonitor transition into

@@ -130,7 +130,6 @@ class RecoveryTracker {
 
   // Exports recovery_degraded_lanes / recovery_episodes /
   // recovery_unrecovered / recovery_last_rounds gauges, written on `shard`.
-  // Same registration-ordering caveat as TheoryOracle::bind_registry.
   void bind_registry(MetricsRegistry* registry, std::size_t shard);
 
   // One quiescent probe. `cluster` may be null (connectivity lane stays in

@@ -7,9 +7,7 @@
 //    its own cache line (alignas(64)) and counter/gauge/bucket arrays are
 //    padded to a multiple of 8 slots so two shards never share a line.
 //  - Registration happens single-threaded, before the worker threads
-//    start. Registering is idempotent per name and returns a dense index;
-//    it may reallocate slab storage, so raw slab pointers obtained via
-//    counters(shard) must be re-fetched after any registration.
+//    start. Registering is idempotent per name and returns a dense index.
 //  - The merge is a fixed-order sum over shards (shard 0, 1, ...) of
 //    integer counters, so a registry dump is bit-identical whenever the
 //    per-shard contents are — preserving the ShardedDriver's
@@ -46,8 +44,7 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t shard_count() const { return slabs_.size(); }
 
-  // Register-or-look-up by name. Single-threaded only; invalidates raw
-  // slab pointers previously obtained from counters().
+  // Register-or-look-up by name. Single-threaded only.
   CounterId counter(std::string_view name);
   GaugeId gauge(std::string_view name);
   // `upper_bounds` must be strictly increasing; an implicit +inf bucket is
@@ -91,8 +88,7 @@ class MetricsRegistry {
                  std::uint64_t count);
 
   // Raw counter slab for one shard, indexed by CounterId::index. The
-  // fastest hot path: cache this pointer once per phase and bump cells
-  // directly. Invalidated by any subsequent registration.
+  // fastest hot path: fetch it once per phase and bump cells directly.
   [[nodiscard]] std::uint64_t* counters(std::size_t shard) {
     return slabs_[shard].counters.data();
   }

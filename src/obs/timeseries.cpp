@@ -4,6 +4,8 @@
 #include <cmath>
 #include <ostream>
 
+#include "obs/probe.hpp"
+
 namespace gossip::obs {
 
 namespace {
@@ -52,6 +54,28 @@ std::string csv_escape(const std::string& in) {
   return out;
 }
 
+// The flat engine as probe_views sees it: every live row holds `s` slots.
+struct FlatViews {
+  const FlatSendForgetCluster& cluster;
+  std::size_t s;
+
+  [[nodiscard]] std::size_t size() const { return cluster.size(); }
+  [[nodiscard]] std::size_t live_count() const { return cluster.live_count(); }
+  [[nodiscard]] bool live(NodeId u) const { return cluster.live(u); }
+  [[nodiscard]] std::size_t degree(NodeId u) const { return cluster.degree(u); }
+  [[nodiscard]] std::size_t capacity(NodeId) const { return s; }
+  [[nodiscard]] std::size_t min_capacity() const { return s; }
+  template <class F>
+  void for_each_entry(NodeId u, F&& f) const {
+    const PackedViewEntry* row = cluster.slots(u);
+    for (std::size_t i = 0; i < s; ++i) {
+      if (!row[i].empty()) f(row[i].id_unchecked(), row[i].dependent());
+    }
+  }
+};
+
+}  // namespace
+
 DegreeSummary summarize(const std::vector<std::uint32_t>& degrees) {
   DegreeSummary s;
   if (degrees.empty()) return s;
@@ -74,58 +98,9 @@ DegreeSummary summarize(const std::vector<std::uint32_t>& degrees) {
   return s;
 }
 
-}  // namespace
-
 FlatClusterProbe probe_cluster(const FlatSendForgetCluster& cluster,
                                std::vector<std::uint32_t>* occurrences) {
-  const std::size_t n = cluster.size();
-  const std::size_t s = cluster.view_size();
-  std::vector<std::uint32_t> indegree(n, 0);
-  std::vector<std::uint32_t> out_live;
-  out_live.reserve(cluster.live_count());
-  FlatClusterProbe probe;
-  probe.outdegree_hist.assign(s + 1, 0);
-  probe.indegree_hist.assign(2 * s + 1, 0);
-  std::size_t occupied = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    if (!cluster.live(u)) continue;
-    const std::size_t d = cluster.degree(u);
-    out_live.push_back(static_cast<std::uint32_t>(d));
-    ++probe.outdegree_hist[std::min(d, s)];
-    occupied += d;
-    const PackedViewEntry* row = cluster.slots(u);
-    for (std::size_t i = 0; i < s; ++i) {
-      if (!row[i].empty()) {
-        ++indegree[row[i].id_unchecked()];
-        if (row[i].dependent()) ++probe.dependent_entries;
-      }
-    }
-  }
-  std::vector<std::uint32_t> in_live;
-  in_live.reserve(out_live.size());
-  for (NodeId u = 0; u < n; ++u) {
-    if (cluster.live(u)) {
-      in_live.push_back(indegree[u]);
-      ++probe.indegree_hist[std::min<std::size_t>(indegree[u], 2 * s)];
-    }
-  }
-  if (occurrences != nullptr) {
-    occurrences->assign(n, UINT32_MAX);
-    for (NodeId u = 0; u < n; ++u) {
-      if (cluster.live(u)) (*occurrences)[u] = indegree[u];
-    }
-  }
-  probe.live_nodes = out_live.size();
-  probe.outdegree = summarize(out_live);
-  probe.indegree = summarize(in_live);
-  probe.occupied_slots = occupied;
-  const std::size_t total_slots = out_live.size() * s;
-  probe.empty_slot_fraction =
-      total_slots == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(occupied) /
-                      static_cast<double>(total_slots);
-  return probe;
+  return probe_views(FlatViews{cluster, cluster.view_size()}, occurrences);
 }
 
 RoundTimeSeries::RoundTimeSeries(std::uint64_t stride)

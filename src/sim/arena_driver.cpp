@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/cluster_probe.hpp"
-
 namespace gossip::sim {
 
 namespace {
@@ -23,7 +21,6 @@ ArenaDriver::ArenaDriver(Cluster& cluster, ArenaDriverConfig config)
         ArenaDriverConfig c = config;
         if (c.shards == 0) c.shards = 1;
         if (c.threads == 0) c.threads = 1;
-        if (c.observation_stride == 0) c.observation_stride = 1;
         return c;
       }()),
       nodes_per_shard_(per_shard(cluster.size(), config_.shards)),
@@ -146,54 +143,29 @@ void ArenaDriver::run_phase_b(std::uint64_t round) {
   (void)round;
 }
 
-void ArenaDriver::observe_round(std::uint64_t round) {
-  const obs::FlatClusterProbe probe = probe_cluster(cluster_);
-  if (series_ != nullptr) {
-    const obs::CumulativeCounters counters = cumulative_counters(
-        cluster_.aggregate_metrics(), network_metrics());
-    series_->record(round, probe.outdegree, probe.indegree, probe.live_nodes,
-                    probe.empty_slot_fraction, counters);
-  }
-  if (recovery_ != nullptr) {
-    // The polymorphic cluster has no flat view graph: the connectivity
-    // lane stays in band, as under RoundDriver.
-    recovery_->observe(round, probe, /*cluster=*/nullptr,
-                       /*watchdog=*/nullptr, /*monitor=*/nullptr);
-  }
-  if (detection_ != nullptr) {
-    detection_->observe(
-        round, cluster_.size(),
-        [this](NodeId u) { return cluster_.live(u); },
-        [this](NodeId u, NodeId w) {
-          return cluster_.node(u).member_verdict(w);
-        });
-  }
-}
-
 void ArenaDriver::run_rounds(std::uint64_t rounds) {
-  const bool observing =
-      series_ != nullptr || recovery_ != nullptr || detection_ != nullptr;
   for (std::uint64_t r = 0; r < rounds; ++r) {
     const std::uint64_t round = ++round_;
     actions_ += cluster_.live_count();
     run_phase_a(round);
     run_phase_b(round);
-    if (observing && round % config_.observation_stride == 0) {
-      observe_round(round);
+    if (due(round)) {
+      // Phase B replies are still in flight: conservation does not hold.
+      observe(round, cluster_, network_metrics(), /*conserved=*/false);
     }
   }
 }
 
 void ArenaDriver::kill(NodeId id) {
   cluster_.kill(id);
-  if (detection_ != nullptr) detection_->record_kill(round_, id);
+  if (detection() != nullptr) detection()->record_kill(round_, id);
 }
 
 void ArenaDriver::rejoin(NodeId id, const Cluster::ProtocolFactory& factory,
                          const std::vector<NodeId>& seed_view) {
   cluster_.revive(id, factory);
   cluster_.node(id).install_view(seed_view);
-  if (detection_ != nullptr) detection_->record_join(round_, id);
+  if (detection() != nullptr) detection()->record_join(round_, id);
 }
 
 NetworkMetrics ArenaDriver::network_metrics() const {

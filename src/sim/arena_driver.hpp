@@ -20,8 +20,8 @@
 //     during round r-1's phase B, then round r's phase A traffic. Handlers
 //     run with the receiver shard's RNG; messages they send sample their
 //     fate now but deliver in round r+1's phase B (one-round latency).
-//   phase C (serial)  observation: cluster probe, DetectionTracker,
-//     RecoveryTracker, time series.
+//   phase C (serial)  observation: cluster probe, time series,
+//     RecoveryTracker, DetectionTracker.
 //
 // Determinism contract: node-to-shard blocking is ceil(n / shards) by id
 // (the ShardedDriver's mapping), every draw comes from
@@ -40,12 +40,10 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "obs/detection.hpp"
-#include "obs/recovery.hpp"
-#include "obs/timeseries.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_plane.hpp"
 #include "sim/network.hpp"
+#include "sim/observers.hpp"
 
 namespace gossip::sim {
 
@@ -54,10 +52,9 @@ struct ArenaDriverConfig {
   std::size_t threads = 1;  // workers executing the shard blocks
   double loss_rate = 0.0;   // ambient i.i.d. loss
   std::uint64_t seed = 1;
-  std::uint64_t observation_stride = 1;
 };
 
-class ArenaDriver {
+class ArenaDriver : private ObserverSet {
  public:
   ArenaDriver(Cluster& cluster, ArenaDriverConfig config);
 
@@ -79,13 +76,14 @@ class ArenaDriver {
   [[nodiscard]] Rng& churn_rng() { return churn_rng_; }
 
   // Observers (borrowed, may be null; attach before run_rounds). All run
-  // in serial phase C and draw no RNG.
+  // in serial phase C, in ObserverSet's fixed order, and draw no RNG.
+  // Recovery's connectivity lane is skipped (no flat view graph), and the
+  // probe is skipped when only the detection tracker is attached.
   void attach_fault_plane(const FaultPlane* plane);
-  void attach_detection(obs::DetectionTracker* tracker) {
-    detection_ = tracker;
-  }
-  void attach_recovery(obs::RecoveryTracker* tracker) { recovery_ = tracker; }
-  void attach_series(obs::RoundTimeSeries* series) { series_ = series; }
+  using ObserverSet::attach_detection;
+  using ObserverSet::attach_recovery;
+  using ObserverSet::attach_time_series;
+  using ObserverSet::set_observation_stride;
 
   // Order-insensitive digest of the full world state: liveness, every
   // view's slot contents, every protocol's state_digest(), and the network
@@ -114,7 +112,6 @@ class ArenaDriver {
 
   void run_phase_a(std::uint64_t round);
   void run_phase_b(std::uint64_t round);
-  void observe_round(std::uint64_t round);
 
   Cluster& cluster_;
   ArenaDriverConfig config_;
@@ -136,10 +133,6 @@ class ArenaDriver {
 
   std::uint64_t round_ = 0;
   std::uint64_t actions_ = 0;
-
-  obs::DetectionTracker* detection_ = nullptr;
-  obs::RecoveryTracker* recovery_ = nullptr;
-  obs::RoundTimeSeries* series_ = nullptr;
 };
 
 }  // namespace gossip::sim

@@ -1,92 +1,39 @@
 #include "sim/cluster_probe.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-#include <vector>
+#include "obs/probe.hpp"
 
 namespace gossip::sim {
 
 namespace {
 
-obs::DegreeSummary summarize(const std::vector<std::uint32_t>& degrees) {
-  obs::DegreeSummary s;
-  if (degrees.empty()) return s;
-  s.min = UINT32_MAX;
-  double sum = 0.0;
-  for (const std::uint32_t d : degrees) {
-    sum += d;
-    s.min = std::min(s.min, d);
-    s.max = std::max(s.max, d);
+// The object engine as probe_views sees it: per-node view capacities.
+struct ObjectViews {
+  const Cluster& cluster;
+
+  [[nodiscard]] std::size_t size() const { return cluster.size(); }
+  [[nodiscard]] std::size_t live_count() const { return cluster.live_count(); }
+  [[nodiscard]] bool live(NodeId u) const { return cluster.live(u); }
+  [[nodiscard]] std::size_t degree(NodeId u) const {
+    return cluster.node(u).view().degree();
   }
-  s.mean = sum / static_cast<double>(degrees.size());
-  double sq = 0.0;
-  for (const std::uint32_t d : degrees) {
-    const double c = static_cast<double>(d) - s.mean;
-    sq += c * c;
+  [[nodiscard]] std::size_t capacity(NodeId u) const {
+    return cluster.node(u).view().capacity();
   }
-  s.sd = degrees.size() > 1
-             ? std::sqrt(sq / static_cast<double>(degrees.size() - 1))
-             : 0.0;
-  return s;
-}
+  [[nodiscard]] std::size_t min_capacity() const { return 0; }
+  template <class F>
+  void for_each_entry(NodeId u, F&& f) const {
+    const LocalView& view = cluster.node(u).view();
+    for (std::size_t i = 0; i < view.capacity(); ++i) {
+      if (!view.slot_empty(i)) f(view.entry(i).id, view.entry(i).dependent);
+    }
+  }
+};
 
 }  // namespace
 
 obs::FlatClusterProbe probe_cluster(const Cluster& cluster,
                                     std::vector<std::uint32_t>* occurrences) {
-  const std::size_t n = cluster.size();
-  std::vector<std::uint32_t> indegree(n, 0);
-  std::vector<std::uint32_t> out_live;
-  out_live.reserve(cluster.live_count());
-  obs::FlatClusterProbe probe;
-  std::size_t occupied = 0;
-  std::size_t capacity = 0;
-  std::size_t max_capacity = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    if (!cluster.live(u)) continue;
-    const LocalView& view = cluster.node(u).view();
-    const std::size_t d = view.degree();
-    out_live.push_back(static_cast<std::uint32_t>(d));
-    occupied += d;
-    capacity += view.capacity();
-    max_capacity = std::max(max_capacity, view.capacity());
-    if (probe.outdegree_hist.size() < max_capacity + 1) {
-      probe.outdegree_hist.resize(max_capacity + 1, 0);
-    }
-    ++probe.outdegree_hist[d];  // d <= capacity <= max_capacity
-    for (std::size_t i = 0; i < view.capacity(); ++i) {
-      if (!view.slot_empty(i)) {
-        ++indegree[view.entry(i).id];
-        if (view.entry(i).dependent) ++probe.dependent_entries;
-      }
-    }
-  }
-  probe.indegree_hist.assign(2 * max_capacity + 1, 0);
-  std::vector<std::uint32_t> in_live;
-  in_live.reserve(out_live.size());
-  for (NodeId u = 0; u < n; ++u) {
-    if (cluster.live(u)) {
-      in_live.push_back(indegree[u]);
-      ++probe.indegree_hist[std::min<std::size_t>(indegree[u],
-                                                  2 * max_capacity)];
-    }
-  }
-  if (occurrences != nullptr) {
-    occurrences->assign(n, UINT32_MAX);
-    for (NodeId u = 0; u < n; ++u) {
-      if (cluster.live(u)) (*occurrences)[u] = indegree[u];
-    }
-  }
-  probe.live_nodes = out_live.size();
-  probe.outdegree = summarize(out_live);
-  probe.indegree = summarize(in_live);
-  probe.occupied_slots = occupied;
-  probe.empty_slot_fraction =
-      capacity == 0 ? 0.0
-                    : 1.0 - static_cast<double>(occupied) /
-                                static_cast<double>(capacity);
-  return probe;
+  return obs::probe_views(ObjectViews{cluster}, occurrences);
 }
 
 obs::CumulativeCounters cumulative_counters(const ProtocolMetrics& protocol,

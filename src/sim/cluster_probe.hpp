@@ -1,8 +1,6 @@
-// Observability probe over the pointer-based Cluster, mirroring
-// obs::probe_cluster for FlatSendForgetCluster: one pass over live views
-// producing degree summaries, empty-slot fraction and live count, plus the
-// cumulative-counter bridge the round/event drivers feed to the
-// time-series recorder and the invariant watchdog.
+// Observability probe over the pointer-based Cluster: the same probe loop
+// as obs::probe_cluster for FlatSendForgetCluster (obs/probe.hpp), plus the
+// cumulative-counter bridge the object-engine drivers feed their observers.
 #pragma once
 
 #include "core/metrics.hpp"

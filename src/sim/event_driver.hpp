@@ -9,20 +9,15 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.hpp"
-#include "obs/export/snapshot.hpp"
 #include "obs/oracle/flight_recorder.hpp"
-#include "obs/oracle/theory_oracle.hpp"
-#include "obs/recovery.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/watchdog.hpp"
 #include "sim/cluster.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault_plane.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
+#include "sim/observers.hpp"
 
 namespace gossip::sim {
 
@@ -35,7 +30,7 @@ struct EventDriverConfig {
   LatencyModel latency{};
 };
 
-class EventDriver {
+class EventDriver : private ObserverSet {
  public:
   EventDriver(Cluster& cluster, LossModel& loss, Rng& rng,
               EventDriverConfig config = {});
@@ -52,29 +47,24 @@ class EventDriver {
   void run_rounds(std::uint64_t rounds);
 
   // --- observability (attach before run_rounds; borrowed, may be null).
-  // Samples are taken mid-flight (messages may be queued), so the watchdog
-  // runs its structural degree checks and statistical rate checks but NOT
-  // mailbox conservation, which only holds at quiescent points. ---
-  void attach_time_series(obs::RoundTimeSeries* series);
-  void attach_watchdog(obs::InvariantWatchdog* watchdog);
-  // Theory-oracle drift detection. Samples here are mid-flight, so the
-  // oracle's rate window sees send-time counters slightly ahead of
-  // delivery-time ones — the same caveat as the watchdog above.
-  void attach_oracle(obs::TheoryOracle* oracle);
+  // Any observer, a recorder or a fault plane forces the stepped run_rounds
+  // schedule, so the round clock they read actually advances. Samples are
+  // taken mid-flight (messages may be queued): the watchdog runs its
+  // structural and rate checks but not conservation, and the oracle's rate
+  // window sees send-time counters slightly ahead of delivery-time ones.
+  // Recovery's connectivity lane is skipped (no flat view graph behind the
+  // polymorphic cluster); the streamer is externally fed, as under
+  // RoundDriver. ---
+  using ObserverSet::attach_oracle;
+  using ObserverSet::attach_recovery;
+  using ObserverSet::attach_streamer;
+  using ObserverSet::attach_time_series;
+  using ObserverSet::attach_watchdog;
   // Transport-level flight recording (QueuedNetwork; delivery events are
   // stamped with the round current at delivery time).
   void attach_flight_recorder(obs::FlightRecorder* recorder);
-  // Scripted link-level fault injection. Forces the stepped run_rounds
-  // schedule (like recording) so the network's round clock — which the
-  // plane's phase windows read — actually advances.
+  // Scripted link-level fault injection.
   void attach_fault_plane(const FaultPlane* plane);
-  // Degradation-window tracking; connectivity lane skipped (no flat view
-  // graph behind the polymorphic cluster).
-  void attach_recovery(obs::RecoveryTracker* tracker);
-  // Streaming telemetry export (externally-fed registry, as in
-  // RoundDriver::attach_streamer). Forces the stepped run_rounds schedule
-  // so the capture clock actually ticks.
-  void attach_streamer(obs::SnapshotStreamer* streamer);
   [[nodiscard]] std::uint64_t rounds_completed() const {
     return rounds_completed_;
   }
@@ -92,7 +82,6 @@ class EventDriver {
 
  private:
   void schedule_tick(NodeId id);
-  void observe_round(std::uint64_t round);
 
   Cluster& cluster_;
   Rng& rng_;
@@ -100,15 +89,8 @@ class EventDriver {
   EventQueue queue_;
   QueuedNetwork network_;
   std::uint64_t rounds_completed_ = 0;
-  obs::RoundTimeSeries* series_ = nullptr;
-  obs::InvariantWatchdog* watchdog_ = nullptr;
-  obs::TheoryOracle* oracle_ = nullptr;
-  obs::RecoveryTracker* recovery_ = nullptr;
-  obs::SnapshotStreamer* streamer_ = nullptr;
-  std::vector<std::uint32_t> occurrence_scratch_;
   bool recording_ = false;
   bool faulting_ = false;
-  std::uint64_t observe_stride_ = 1;
 };
 
 }  // namespace gossip::sim

@@ -1,48 +1,9 @@
 #include "sim/round_driver.hpp"
 
-#include <algorithm>
-
-#include "sim/cluster_probe.hpp"
-
 namespace gossip::sim {
 
 RoundDriver::RoundDriver(Cluster& cluster, LossModel& loss, Rng& rng)
     : cluster_(cluster), rng_(rng), network_(cluster, loss, rng) {}
-
-void RoundDriver::attach_time_series(obs::RoundTimeSeries* series) {
-  series_ = series;
-  if (series != nullptr) {
-    observe_stride_ = std::max<std::uint64_t>(1, series->stride());
-  }
-}
-
-void RoundDriver::attach_watchdog(obs::InvariantWatchdog* watchdog) {
-  watchdog_ = watchdog;
-}
-
-void RoundDriver::attach_oracle(obs::TheoryOracle* oracle) {
-  oracle_ = oracle;
-}
-
-void RoundDriver::attach_flight_recorder(obs::FlightRecorder* recorder) {
-  network_.set_flight_recorder(recorder);
-}
-
-void RoundDriver::attach_fault_plane(const FaultPlane* plane) {
-  network_.set_fault_plane(plane);
-}
-
-void RoundDriver::attach_recovery(obs::RecoveryTracker* tracker) {
-  recovery_ = tracker;
-}
-
-void RoundDriver::attach_retune(RetuneController* retune) {
-  retune_ = retune;
-}
-
-void RoundDriver::attach_streamer(obs::SnapshotStreamer* streamer) {
-  streamer_ = streamer;
-}
 
 void RoundDriver::step() {
   const NodeId initiator = cluster_.random_live_node(rng_);
@@ -54,54 +15,15 @@ void RoundDriver::run_actions(std::uint64_t count) {
   for (std::uint64_t i = 0; i < count; ++i) step();
 }
 
-void RoundDriver::observe_round(std::uint64_t round) {
-  const obs::FlatClusterProbe probe = probe_cluster(
-      cluster_, oracle_ != nullptr ? &occurrence_scratch_ : nullptr);
-  const obs::CumulativeCounters c =
-      cumulative_counters(cluster_.aggregate_metrics(), network_.metrics());
-  if (series_ != nullptr) {
-    series_->record(round, probe.outdegree, probe.indegree, probe.live_nodes,
-                    probe.empty_slot_fraction, c);
-  }
-  if (watchdog_ != nullptr) {
-    const std::size_t n = cluster_.size();
-    for (NodeId u = 0; u < n; ++u) {
-      if (!cluster_.live(u)) continue;
-      watchdog_->check_degree(round, u, /*shard=*/0,
-                              cluster_.node(u).view().degree());
-    }
-    // The direct network delivers synchronously, so nothing is in flight
-    // at a round boundary and conservation is exact.
-    watchdog_->check_conservation(round, c);
-    watchdog_->check_rates(round, c);
-  }
-  if (oracle_ != nullptr) {
-    oracle_->observe(round, probe, occurrence_scratch_, c);
-  }
-  if (retune_ != nullptr) {
-    retune_->observe(round, c);
-  }
-  if (recovery_ != nullptr) {
-    recovery_->observe(round, probe, /*cluster=*/nullptr, watchdog_,
-                       oracle_ != nullptr ? &oracle_->monitor() : nullptr);
-  }
-  if (streamer_ != nullptr) {
-    // Last, so the snapshot sees this round's series/oracle/recovery
-    // output through the streamer's probes.
-    streamer_->observe(round);
-  }
-}
-
 void RoundDriver::run_rounds(std::uint64_t rounds) {
-  const bool observing = series_ != nullptr || watchdog_ != nullptr ||
-                         oracle_ != nullptr || recovery_ != nullptr ||
-                         retune_ != nullptr || streamer_ != nullptr;
   for (std::uint64_t r = 0; r < rounds; ++r) {
     network_.set_record_round(rounds_completed_ + 1);
     run_actions(cluster_.live_count());
     ++rounds_completed_;
-    if (observing && rounds_completed_ % observe_stride_ == 0) {
-      observe_round(rounds_completed_);
+    if (due(rounds_completed_)) {
+      // Synchronous delivery: nothing is in flight at a round boundary.
+      observe(rounds_completed_, cluster_, network_.metrics(),
+              /*conserved=*/true);
     }
   }
 }

@@ -78,9 +78,6 @@ ShardedDriver::ShardedDriver(FlatSendForgetCluster& cluster,
   live_pos_.assign(n, 0);
   for (std::size_t s = 0; s < config_.shard_count; ++s) {
     shards_[s].rng = Rng::stream(config_.seed, s);
-    // Safe to cache: the later registrations (attach_oracle's drift
-    // gauges, attach_recovery's recovery gauges) re-cache these pointers.
-    shards_[s].m = registry_.counters(s);
     if (config_.loss_model) {
       shards_[s].loss = config_.loss_model(s);
     }
@@ -91,19 +88,6 @@ ShardedDriver::ShardedDriver(FlatSendForgetCluster& cluster,
     live_pos_[u] = static_cast<std::uint32_t>(live.size());
     live.push_back(u);
   }
-}
-
-void ShardedDriver::attach_time_series(obs::RoundTimeSeries* series) {
-  series_ = series;
-  // Clamp like set_observation_stride: a zero stride would turn the
-  // observation modulus into a divide-by-zero.
-  if (series != nullptr) {
-    observe_stride_ = std::max<std::uint64_t>(1, series->stride());
-  }
-}
-
-void ShardedDriver::attach_watchdog(obs::InvariantWatchdog* watchdog) {
-  watchdog_ = watchdog;
 }
 
 void ShardedDriver::attach_profiler(obs::PhaseProfiler* profiler) {
@@ -119,20 +103,9 @@ void ShardedDriver::attach_profiler(obs::PhaseProfiler* profiler) {
   }
 }
 
-void ShardedDriver::set_observation_stride(std::uint64_t stride) {
-  observe_stride_ = std::max<std::uint64_t>(1, stride);
-}
-
 void ShardedDriver::attach_oracle(obs::TheoryOracle* oracle) {
-  oracle_ = oracle;
-  if (oracle != nullptr) {
-    oracle->bind_registry(&registry_, 0);
-    // Gauge registration reallocates the slabs; the cached counter
-    // pointers must be refreshed.
-    for (std::size_t s = 0; s < config_.shard_count; ++s) {
-      shards_[s].m = registry_.counters(s);
-    }
-  }
+  ObserverSet::attach_oracle(oracle);
+  if (oracle != nullptr) oracle->bind_registry(&registry_, 0);
 }
 
 void ShardedDriver::attach_flight_recorder(obs::FlightRecorder* recorder) {
@@ -143,14 +116,9 @@ void ShardedDriver::attach_flight_recorder(obs::FlightRecorder* recorder) {
   }
   recorder_ = recorder;
   if (recorder != nullptr) {
-    // Ring-wrap visibility (satellite of the export plane): a gauge that
-    // tracks how many events each shard's ring has overwritten. Gauge
-    // registration reallocates the slabs; refresh the cached counter
-    // pointers (same ordering hazard as attach_oracle).
+    // Ring-wrap visibility: a gauge that tracks how many events each
+    // shard's ring has overwritten.
     recorder_wrapped_gauge_ = registry_.gauge("recorder_wrapped");
-    for (std::size_t s = 0; s < config_.shard_count; ++s) {
-      shards_[s].m = registry_.counters(s);
-    }
   }
 }
 
@@ -166,35 +134,17 @@ void ShardedDriver::attach_fault_plane(const FaultPlane* plane) {
   }
 }
 
-void ShardedDriver::attach_retune(RetuneController* retune) {
-  retune_ = retune;
-}
-
 void ShardedDriver::attach_streamer(obs::SnapshotStreamer* streamer) {
   if (streamer != nullptr && &streamer->registry() != &registry_) {
     throw std::invalid_argument(
         "snapshot streamer must borrow this driver's metrics registry");
   }
-  streamer_ = streamer;
-  if (streamer != nullptr) {
-    // The streamer's probe registrations (and any sink bookkeeping) may
-    // have reallocated the slabs; refresh the cached counter pointers.
-    for (std::size_t s = 0; s < config_.shard_count; ++s) {
-      shards_[s].m = registry_.counters(s);
-    }
-  }
+  ObserverSet::attach_streamer(streamer);
 }
 
 void ShardedDriver::attach_recovery(obs::RecoveryTracker* tracker) {
-  recovery_ = tracker;
-  if (tracker != nullptr) {
-    tracker->bind_registry(&registry_, 0);
-    // Gauge registration reallocates the slabs; refresh the cached counter
-    // pointers (same ordering hazard as attach_oracle).
-    for (std::size_t s = 0; s < config_.shard_count; ++s) {
-      shards_[s].m = registry_.counters(s);
-    }
-  }
+  ObserverSet::attach_recovery(tracker);
+  if (tracker != nullptr) tracker->bind_registry(&registry_, 0);
 }
 
 template <bool kCount, bool kRecord>
@@ -298,7 +248,7 @@ void ShardedDriver::initiate_phase(std::size_t shard,
     sh.quiet = quiet ? 1 : 0;
   }
   if constexpr (kCount) {
-    std::uint64_t* m = sh.m;
+    std::uint64_t* m = registry_.counters(shard);
     m[kActions] += k;  // exactly one action per live node per round
     m[kSelfLoops] += lc.self_loops;
     m[kDuplications] += lc.duplications;
@@ -340,7 +290,7 @@ void ShardedDriver::drain_phase(std::size_t shard, std::uint64_t round) {
     inbound.clear();  // keeps frames; src refills only after the barrier
   }
   if constexpr (kCount) {
-    std::uint64_t* m = shards_[shard].m;
+    std::uint64_t* m = registry_.counters(shard);
     m[kDeletions] += lc.deletions;
     m[kDelivered] += lc.delivered;
     m[kToDead] += lc.to_dead;
@@ -390,51 +340,24 @@ void ShardedDriver::deliver(
 
 void ShardedDriver::observe_round(std::uint64_t round) {
   const obs::PhaseProfiler::Scope timer(profiler_, ph_observe_, 0);
-  const obs::FlatClusterProbe probe = obs::probe_cluster(
-      cluster_, oracle_ != nullptr ? &occurrence_scratch_ : nullptr);
+  const obs::FlatClusterProbe probe =
+      obs::probe_cluster(cluster_, occurrences());
   registry_.set(live_gauge_, 0, static_cast<double>(probe.live_nodes));
   registry_.set(round_gauge_, 0, static_cast<double>(round));
   if (config_.count_metrics) {
     // Fold the probe's degree census into the registry histograms: one
     // bulk bucket update per degree value instead of one observe() per
     // node (shard 0 writes; the merge is summation anyway).
-    for (std::size_t d = 0; d < probe.outdegree_hist.size(); ++d) {
-      if (probe.outdegree_hist[d] != 0) {
-        registry_.observe_n(outdegree_hist_, 0, static_cast<double>(d),
-                            probe.outdegree_hist[d]);
+    const auto fold = [this](obs::HistogramId id,
+                             const std::vector<std::uint64_t>& hist) {
+      for (std::size_t d = 0; d < hist.size(); ++d) {
+        if (hist[d] != 0) {
+          registry_.observe_n(id, 0, static_cast<double>(d), hist[d]);
+        }
       }
-    }
-    for (std::size_t d = 0; d < probe.indegree_hist.size(); ++d) {
-      if (probe.indegree_hist[d] != 0) {
-        registry_.observe_n(indegree_hist_, 0, static_cast<double>(d),
-                            probe.indegree_hist[d]);
-      }
-    }
-  }
-  const obs::CumulativeCounters c = cumulative_counters();
-  if (series_ != nullptr) {
-    series_->record(round, probe.outdegree, probe.indegree, probe.live_nodes,
-                    probe.empty_slot_fraction, c);
-  }
-  if (watchdog_ != nullptr) {
-    watchdog_->check_cluster(round, cluster_, nodes_per_shard_);
-    // All mailboxes are drained at the end of phase B, so conservation is
-    // exact here.
-    watchdog_->check_conservation(round, c);
-    watchdog_->check_rates(round, c);
-  }
-  if (oracle_ != nullptr) {
-    oracle_->observe(round, probe, occurrence_scratch_, c);
-  }
-  if (retune_ != nullptr) {
-    // After the oracle's probe (the controller reads its monitor), before
-    // recovery classifies the round. Runs on worker 0 at the phase-C
-    // barrier, so the actuator's between-rounds mutation is safe.
-    retune_->observe(round, c);
-  }
-  if (recovery_ != nullptr) {
-    recovery_->observe(round, probe, &cluster_, watchdog_,
-                       oracle_ != nullptr ? &oracle_->monitor() : nullptr);
+    };
+    fold(outdegree_hist_, probe.outdegree_hist);
+    fold(indegree_hist_, probe.indegree_hist);
   }
   if (recorder_ != nullptr && recorder_wrapped_gauge_.valid()) {
     // Per-shard ring-wrap counts; gauges merge by sum so the merged value
@@ -444,11 +367,13 @@ void ShardedDriver::observe_round(std::uint64_t round) {
                     static_cast<double>(recorder_->dropped(s)));
     }
   }
-  if (streamer_ != nullptr) {
-    // Last: the snapshot must see every gauge the observers above wrote
-    // this round. Capture reads registry state only — zero RNG draws.
-    streamer_->observe(round);
-  }
+  // All mailboxes are drained by phase C: conservation is exact.
+  observe({.round = round,
+           .probe = &probe,
+           .counters = cumulative_counters(),
+           .flat = &cluster_,
+           .nodes_per_shard = nodes_per_shard_,
+           .conserved = true});
 }
 
 void ShardedDriver::run_rounds(std::uint64_t rounds) {
@@ -480,7 +405,6 @@ template <bool kCount, bool kRecord>
 std::uint64_t ShardedDriver::run_rounds_impl(std::uint64_t rounds,
                                              bool quiesce) {
   const std::uint64_t base = rounds_completed_;
-  const bool observe = observing();
   if (threads_ == 1) {
     // One worker owns every shard; phases still run shard-blocked in
     // ascending order, so the schedule is the multi-thread schedule.
@@ -495,9 +419,7 @@ std::uint64_t ShardedDriver::run_rounds_impl(std::uint64_t rounds,
         const obs::PhaseProfiler::Scope timer(profiler_, ph_drain_, s);
         drain_phase<kCount, kRecord>(s, round);
       }
-      if (observe && observation_due(round)) {
-        observe_round(round);
-      }
+      if (due(round)) observe_round(round);
       ++ran;
       if (quiesce && all_quiet()) break;
     }
@@ -506,7 +428,7 @@ std::uint64_t ShardedDriver::run_rounds_impl(std::uint64_t rounds,
 
   std::barrier barrier(static_cast<std::ptrdiff_t>(threads_));
   std::uint64_t ran_main = 0;
-  const auto worker = [this, rounds, base, observe, quiesce, &barrier,
+  const auto worker = [this, rounds, base, quiesce, &barrier,
                        &ran_main](std::size_t w) {
     const std::size_t lo = shard_lo(w);
     const std::size_t hi = shard_hi(w);
@@ -533,7 +455,7 @@ std::uint64_t ShardedDriver::run_rounds_impl(std::uint64_t rounds,
       }
       // Phase C: sampling is a pure function of (global round, stride), so
       // every thread agrees on whether this third barrier exists.
-      if (observe && observation_due(round)) {
+      if (due(round)) {
         if (w == 0) observe_round(round);
         const obs::PhaseProfiler::Scope timer(profiler_, ph_barrier_, lo);
         barrier.arrive_and_wait();

@@ -66,18 +66,13 @@
 #include "common/rng.hpp"
 #include "core/flat_send_forget.hpp"
 #include "core/metrics.hpp"
-#include "obs/export/snapshot.hpp"
 #include "obs/oracle/flight_recorder.hpp"
-#include "obs/oracle/theory_oracle.hpp"
 #include "obs/profiler.hpp"
-#include "obs/recovery.hpp"
 #include "obs/registry.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/watchdog.hpp"
 #include "sim/fault_plane.hpp"
-#include "sim/retune.hpp"
 #include "sim/loss.hpp"
 #include "sim/network.hpp"
+#include "sim/observers.hpp"
 
 namespace gossip::sim {
 
@@ -144,7 +139,7 @@ struct ShardedDriverConfig {
   bool count_metrics = true;
 };
 
-class ShardedDriver {
+class ShardedDriver : private ObserverSet {
  public:
   // Borrows the cluster; it must outlive the driver. The cluster's node
   // count is fixed for the driver's lifetime (kill/revive churn only).
@@ -196,20 +191,21 @@ class ShardedDriver {
   [[nodiscard]] ProtocolMetrics protocol_metrics() const;
   [[nodiscard]] obs::CumulativeCounters cumulative_counters() const;
 
-  // --- observability (attach before run_rounds; borrowed, may be null) ---
+  // --- observability (attach before run_rounds; borrowed, may be null).
+  // Observers run in the phase-C barrier, on the first worker while every
+  // other worker waits, in ObserverSet's fixed order. All mailboxes are
+  // drained by then, so the watchdog checks conservation exactly. ---
 
   [[nodiscard]] obs::MetricsRegistry& metrics_registry() { return registry_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics_registry() const {
     return registry_;
   }
-  // Also sets the observation stride to the series' stride.
-  void attach_time_series(obs::RoundTimeSeries* series);
-  void attach_watchdog(obs::InvariantWatchdog* watchdog);
+  using ObserverSet::attach_time_series;
+  using ObserverSet::attach_watchdog;
   void attach_profiler(obs::PhaseProfiler* profiler);
   // Theory-oracle drift detection: the oracle gets the probe, the per-id
   // occurrence census, and the cumulative counters at each phase-C sample.
-  // Registers drift gauges in the driver's registry (and re-caches the
-  // counter slabs that registration invalidates).
+  // Registers drift gauges in the driver's registry.
   void attach_oracle(obs::TheoryOracle* oracle);
   // Protocol event recording; the recorder's shard_count must equal the
   // driver's. Recording draws no RNG and never changes the fingerprint.
@@ -222,25 +218,21 @@ class ShardedDriver {
   void attach_fault_plane(const FaultPlane* plane);
   // Degradation-window / time-to-recover tracking at each phase-C probe;
   // feeds on the probe, the cluster, and whatever watchdog / oracle are
-  // attached. Registers recovery_* gauges (and re-caches counter slabs).
+  // attached. Registers recovery_* gauges.
   void attach_recovery(obs::RecoveryTracker* tracker);
   // Online §6.3 retuning: the controller sees the cumulative counters at
-  // each phase-C probe, after the oracle it is bound to has observed. It
-  // runs on worker 0 while every other worker waits at the phase barrier,
-  // so its actuator may mutate cluster configuration (set_min_degree)
-  // safely. Draws no RNG (pinned in tests/test_retune.cpp).
-  void attach_retune(RetuneController* retune);
+  // each phase-C probe, after the oracle it is bound to has observed. Every
+  // other worker waits at the phase barrier meanwhile, so its actuator may
+  // mutate cluster configuration (set_min_degree) safely. Draws no RNG
+  // (pinned in tests/test_retune.cpp).
+  using ObserverSet::attach_retune;
   // Streaming telemetry export: the streamer must borrow this driver's
-  // metrics_registry(). It captures on the phase-C barrier, after every
-  // other observer has updated the registry, so snapshots see the round's
-  // final gauge/drift/recovery values. Capture draws no RNG — the
-  // fingerprint stays bit-identical with a streamer attached (pinned in
-  // tests/test_export.cpp). Wire probes (add_gauge_probe/add_counter_probe)
-  // before attaching; this call re-caches the counter slabs.
+  // metrics_registry(). Capture draws no RNG — the fingerprint stays
+  // bit-identical with a streamer attached (pinned in
+  // tests/test_export.cpp).
   void attach_streamer(obs::SnapshotStreamer* streamer);
-  // Sampling cadence for the observe phase (rounds whose global index is a
-  // multiple of `stride` sample). Independent of any RNG stream.
-  void set_observation_stride(std::uint64_t stride);
+  // Sampling cadence for the observe phase; independent of any RNG stream.
+  using ObserverSet::set_observation_stride;
 
  private:
   // Registry counter layout; indices into each shard's counter slab.
@@ -259,11 +251,10 @@ class ShardedDriver {
   };
 
   // Per-shard hot state, padded so shards never share a cache line. The
-  // counters themselves live in the registry; `m` caches the shard's slab.
+  // counters live in the registry, fetched at each phase-end flush.
   struct alignas(64) Shard {
     Rng rng{0};
     std::vector<NodeId> live;   // dense live ids owned by this shard
-    std::uint64_t* m = nullptr;  // registry counter slab, index by Counter
     // Per-shard ambient loss model (null = scalar loss_rate fast path).
     std::unique_ptr<LossModel> loss;
     // Per-shard fault-plane state (burst chains, active-phase cache).
@@ -302,13 +293,6 @@ class ShardedDriver {
   template <bool kCount, bool kRecord>
   std::uint64_t run_rounds_impl(std::uint64_t rounds, bool quiesce);
   std::uint64_t run_rounds_dispatch(std::uint64_t rounds, bool quiesce);
-  [[nodiscard]] bool observing() const {
-    return series_ != nullptr || watchdog_ != nullptr || oracle_ != nullptr ||
-           recovery_ != nullptr || retune_ != nullptr || streamer_ != nullptr;
-  }
-  [[nodiscard]] bool observation_due(std::uint64_t round) const {
-    return round % observe_stride_ == 0;
-  }
   // Runs on the first worker's thread while every other worker waits at
   // the phase-C barrier (single-threaded: simply between rounds).
   void observe_round(std::uint64_t round);
@@ -347,14 +331,8 @@ class ShardedDriver {
   Rng churn_rng_;
   std::uint64_t rounds_completed_ = 0;
 
-  obs::RoundTimeSeries* series_ = nullptr;
-  obs::InvariantWatchdog* watchdog_ = nullptr;
   obs::PhaseProfiler* profiler_ = nullptr;
-  obs::TheoryOracle* oracle_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
-  obs::RecoveryTracker* recovery_ = nullptr;
-  RetuneController* retune_ = nullptr;
-  obs::SnapshotStreamer* streamer_ = nullptr;
   const FaultPlane* fault_plane_ = nullptr;
   // Ring-wrap visibility: set per shard from recorder_->dropped(s) at each
   // probe (gauges merge by sum), so silent ring truncation shows up in
@@ -364,10 +342,6 @@ class ShardedDriver {
   // registry's histogram path finally has a producer).
   obs::HistogramId outdegree_hist_{};
   obs::HistogramId indegree_hist_{};
-  // Scratch for the per-id occurrence census the oracle consumes; only
-  // touched in observe_round.
-  std::vector<std::uint32_t> occurrence_scratch_;
-  std::uint64_t observe_stride_ = 1;
   obs::PhaseId ph_initiate_{};
   obs::PhaseId ph_drain_{};
   obs::PhaseId ph_barrier_{};

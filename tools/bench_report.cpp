@@ -1435,7 +1435,7 @@ ChaosRun run_chaos(const ChaosSpec& spec) {
     }
   }
   if (!spec.schedule.empty()) driver.attach_fault_plane(&plane);
-  driver.attach_recovery(&tracker);  // last: re-caches the counter slabs
+  driver.attach_recovery(&tracker);
   driver.set_observation_stride(5);
 
   const auto start = Clock::now();
@@ -1877,7 +1877,7 @@ ForensicsArtifacts run_forensics_leg(const ChaosSpec& spec,
   if (!spec.schedule.empty()) driver.attach_fault_plane(&plane);
   obs::FlightRecorder recorder(spec.threads, /*capacity=*/1u << 12);
   driver.attach_flight_recorder(&recorder);
-  driver.attach_recovery(&tracker);  // last: re-caches the counter slabs
+  driver.attach_recovery(&tracker);
   driver.set_observation_stride(5);
 
   std::ostringstream snapshot_stream;
@@ -1886,7 +1886,7 @@ ForensicsArtifacts run_forensics_leg(const ChaosSpec& spec,
   obs::SnapshotStreamer streamer(driver.metrics_registry(), ecfg);
   streamer.add_sink(
       std::make_unique<obs::JsonlSnapshotSink>(snapshot_stream));
-  driver.attach_streamer(&streamer);  // after every other observer
+  driver.attach_streamer(&streamer);
 
   const auto start = Clock::now();
   if (spec.kill_fraction > 0.0) {

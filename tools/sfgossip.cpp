@@ -401,20 +401,23 @@ int cmd_simulate(const ArgParser& args) {
               nodes, rounds, loss_rate, protocol.c_str(),
               driver_kind.c_str());
 
-  if (driver_kind == "round") {
-    sim::RoundDriver driver(cluster, loss, rng);
+  // Both serial drivers take the same observers; the streamer also counts
+  // the driver's network totals.
+  const auto attach_observers = [&](auto& driver) {
     driver.attach_time_series(series.get());
     driver.attach_watchdog(watchdog.get());
     driver.attach_flight_recorder(recorder.get());
-    if (streamer) {
-      const sim::NetworkMetrics& nm = driver.network_metrics();
-      streamer->add_counter_probe("sent", [&nm]() { return nm.sent; });
-      streamer->add_counter_probe("lost", [&nm]() { return nm.lost; });
-      streamer->add_counter_probe("delivered",
-                                  [&nm]() { return nm.delivered; });
-      streamer->add_counter_probe("to_dead", [&nm]() { return nm.to_dead; });
-      driver.attach_streamer(streamer.get());
-    }
+    if (!streamer) return;
+    const sim::NetworkMetrics& nm = driver.network_metrics();
+    streamer->add_counter_probe("sent", [&nm]() { return nm.sent; });
+    streamer->add_counter_probe("lost", [&nm]() { return nm.lost; });
+    streamer->add_counter_probe("delivered", [&nm]() { return nm.delivered; });
+    streamer->add_counter_probe("to_dead", [&nm]() { return nm.to_dead; });
+    driver.attach_streamer(streamer.get());
+  };
+  if (driver_kind == "round") {
+    sim::RoundDriver driver(cluster, loss, rng);
+    attach_observers(driver);
     for (std::size_t r = 0; r < rounds; ++r) {
       if (churn) churn->maybe_churn(rng);
       driver.run_rounds(1);
@@ -425,18 +428,7 @@ int cmd_simulate(const ArgParser& args) {
                 driver.network_metrics().loss_rate());
   } else if (driver_kind == "event") {
     sim::EventDriver driver(cluster, loss, rng);
-    driver.attach_time_series(series.get());
-    driver.attach_watchdog(watchdog.get());
-    driver.attach_flight_recorder(recorder.get());
-    if (streamer) {
-      const sim::NetworkMetrics& nm = driver.network_metrics();
-      streamer->add_counter_probe("sent", [&nm]() { return nm.sent; });
-      streamer->add_counter_probe("lost", [&nm]() { return nm.lost; });
-      streamer->add_counter_probe("delivered",
-                                  [&nm]() { return nm.delivered; });
-      streamer->add_counter_probe("to_dead", [&nm]() { return nm.to_dead; });
-      driver.attach_streamer(streamer.get());
-    }
+    attach_observers(driver);
     for (std::size_t r = 0; r < rounds; ++r) {
       if (churn) {
         const auto outcome = churn->maybe_churn(rng);
@@ -1088,14 +1080,11 @@ int cmd_chaos(const ArgParser& args) {
     driver.attach_flight_recorder(recorder.get());
   }
 
-  // Last: recovery's gauge registration must come after the oracle's so
-  // both re-cache the registry slabs they invalidate.
   driver.attach_recovery(&recovery);
 
   // The streamer borrows the driver's own registry, so chaos snapshots
   // carry the native shard counters plus the oracle drift and recovery
-  // gauges registered above. Attached after every other observer so its
-  // captures see the round's complete observer output.
+  // gauges registered above.
   std::unique_ptr<obs::SnapshotStreamer> streamer;
   if (args.has("snapshot-out") || args.has("prom-out")) {
     obs::ExportConfig ecfg;
@@ -1349,8 +1338,8 @@ int cmd_arena(const ArgParser& args) {
         cluster, sim::ArenaDriverConfig{.shards = shards,
                                         .threads = threads,
                                         .loss_rate = loss,
-                                        .seed = seed,
-                                        .observation_stride = stride});
+                                        .seed = seed});
+    driver.set_observation_stride(stride);
     if (!scenario.schedule.empty()) driver.attach_fault_plane(&plane);
     obs::DetectionTracker detection(obs::DetectionConfig{.fp_stride = 5});
     driver.attach_detection(&detection);
