@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -96,55 +97,6 @@ void RecoveryTracker::annotate(std::uint64_t round, std::string label) {
   if (series_ != nullptr) series_->annotate(round, std::move(label));
 }
 
-double RecoveryTracker::largest_component_fraction(
-    const FlatSendForgetCluster& cluster) {
-  const std::size_t n = cluster.size();
-  const std::size_t s = cluster.view_size();
-  uf_parent_.resize(n);
-  uf_size_.assign(n, 1);
-  for (std::uint32_t u = 0; u < n; ++u) uf_parent_[u] = u;
-  const auto find = [this](std::uint32_t x) {
-    while (uf_parent_[x] != x) {
-      uf_parent_[x] = uf_parent_[uf_parent_[x]];  // path halving
-      x = uf_parent_[x];
-    }
-    return x;
-  };
-  const auto unite = [this, &find](std::uint32_t a, std::uint32_t b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    if (uf_size_[a] < uf_size_[b]) std::swap(a, b);
-    uf_parent_[b] = a;
-    uf_size_[a] += uf_size_[b];
-  };
-  std::size_t live = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    if (!cluster.live(u)) continue;
-    ++live;
-    const PackedViewEntry* row = cluster.slots(u);
-    for (std::size_t i = 0; i < s; ++i) {
-      if (row[i].empty()) continue;
-      const NodeId v = row[i].id_unchecked();
-      if (v < n && cluster.live(v)) unite(u, static_cast<std::uint32_t>(v));
-    }
-  }
-  if (live == 0) return 1.0;
-  std::uint32_t largest = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    if (!cluster.live(u)) continue;
-    const std::uint32_t root = find(static_cast<std::uint32_t>(u));
-    largest = std::max(largest, uf_size_[root]);
-  }
-  // uf_size_ counts dead singletons too, but dead nodes are never united
-  // with anything, so a live root's size counts live members only... except
-  // the root of a live node is always live-reachable; sizes only grow by
-  // unite calls, which involve live endpoints plus each node's initial 1.
-  // Dead nodes keep their own singleton sets and never inflate a live
-  // component.
-  return static_cast<double>(largest) / static_cast<double>(live);
-}
-
 std::uint32_t RecoveryTracker::evaluate_lanes(
     std::uint64_t round, const FlatClusterProbe& probe,
     const FlatSendForgetCluster* cluster, const InvariantWatchdog* watchdog,
@@ -194,10 +146,23 @@ std::uint32_t RecoveryTracker::evaluate_lanes(
 
   // --- connectivity lane ---
   component_fraction_ = 1.0;
-  if (cluster != nullptr && probe.live_nodes > 0) {
-    component_fraction_ = largest_component_fraction(*cluster);
-    if (component_fraction_ < config_.min_component_fraction) {
-      lanes |= lane_bit(RecoveryLane::kConnectivity);
+  if (probe.live_nodes > 0) {
+    std::optional<std::uint64_t> largest = probe.largest_component;
+    std::uint64_t live = probe.live_nodes;
+    if (!largest.has_value() && cluster != nullptr) {
+      const FlatClusterProbe census = census_.run(
+          FlatViews(*cluster), /*degrees=*/false, /*components=*/true);
+      largest = census.largest_component;
+      live = census.live_nodes;
+    }
+    if (largest.has_value()) {
+      if (live > 0) {
+        component_fraction_ =
+            static_cast<double>(*largest) / static_cast<double>(live);
+      }
+      if (component_fraction_ < config_.min_component_fraction) {
+        lanes |= lane_bit(RecoveryLane::kConnectivity);
+      }
     }
   }
 

@@ -14,7 +14,12 @@
 //                 of live nodes.
 //   connectivity  the largest weakly-connected component of the view
 //                 graph covers less than `min_component_fraction` of live
-//                 nodes (partition isolation). Note this is a *lagging*
+//                 nodes (partition isolation). The census comes from the
+//                 probe when it carries one (the sharded driver takes it in
+//                 its parallel observe phase whenever a tracker is
+//                 attached); otherwise the tracker runs the same census
+//                 itself, one slice over the `cluster` argument
+//                 (obs/probe.hpp). Note this is a *lagging*
 //                 indicator: a group cut keeps stale cross-edges until
 //                 S&F washes them out, and a fully decoupled overlay
 //                 cannot re-merge (S&F has no discovery), so scenarios
@@ -48,6 +53,7 @@
 #include "common/node_id.hpp"
 #include "core/flat_send_forget.hpp"
 #include "obs/oracle/drift_monitor.hpp"
+#include "obs/probe.hpp"
 #include "obs/registry.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/watchdog.hpp"
@@ -132,8 +138,10 @@ class RecoveryTracker {
   // recovery_unrecovered / recovery_last_rounds gauges, written on `shard`.
   void bind_registry(MetricsRegistry* registry, std::size_t shard);
 
-  // One quiescent probe. `cluster` may be null (connectivity lane stays in
-  // band); `watchdog` / `monitor` likewise gate their lanes. Draws no RNG.
+  // One quiescent probe. The connectivity lane reads
+  // probe.largest_component when set, else censuses `cluster`; with
+  // neither it stays in band. `watchdog` / `monitor` likewise gate their
+  // lanes. Draws no RNG.
   void observe(std::uint64_t round, const FlatClusterProbe& probe,
                const FlatSendForgetCluster* cluster,
                const InvariantWatchdog* watchdog, const DriftMonitor* monitor);
@@ -172,8 +180,6 @@ class RecoveryTracker {
       std::uint64_t round, const FlatClusterProbe& probe,
       const FlatSendForgetCluster* cluster, const InvariantWatchdog* watchdog,
       const DriftMonitor* monitor);
-  [[nodiscard]] double largest_component_fraction(
-      const FlatSendForgetCluster& cluster);
   void annotate(std::uint64_t round, std::string label);
 
   RecoveryConfig config_;
@@ -194,9 +200,9 @@ class RecoveryTracker {
   double component_fraction_ = 1.0;
   std::uint64_t last_watchdog_violations_ = 0;
 
-  // Union-find scratch for the connectivity lane.
-  std::vector<std::uint32_t> uf_parent_;
-  std::vector<std::uint32_t> uf_size_;
+  // Component-census scratch for probes that carry none; never allocated
+  // when every probe does.
+  ProbeSlices census_;
 
   RoundTimeSeries* series_ = nullptr;
   MetricsRegistry* registry_ = nullptr;

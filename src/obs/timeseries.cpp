@@ -1,7 +1,6 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 
 #include "obs/probe.hpp"
@@ -54,53 +53,12 @@ std::string csv_escape(const std::string& in) {
   return out;
 }
 
-// The flat engine as probe_views sees it: every live row holds `s` slots.
-struct FlatViews {
-  const FlatSendForgetCluster& cluster;
-  std::size_t s;
-
-  [[nodiscard]] std::size_t size() const { return cluster.size(); }
-  [[nodiscard]] std::size_t live_count() const { return cluster.live_count(); }
-  [[nodiscard]] bool live(NodeId u) const { return cluster.live(u); }
-  [[nodiscard]] std::size_t degree(NodeId u) const { return cluster.degree(u); }
-  [[nodiscard]] std::size_t capacity(NodeId) const { return s; }
-  [[nodiscard]] std::size_t min_capacity() const { return s; }
-  template <class F>
-  void for_each_entry(NodeId u, F&& f) const {
-    const PackedViewEntry* row = cluster.slots(u);
-    for (std::size_t i = 0; i < s; ++i) {
-      if (!row[i].empty()) f(row[i].id_unchecked(), row[i].dependent());
-    }
-  }
-};
-
 }  // namespace
-
-DegreeSummary summarize(const std::vector<std::uint32_t>& degrees) {
-  DegreeSummary s;
-  if (degrees.empty()) return s;
-  s.min = UINT32_MAX;
-  double sum = 0.0;
-  for (const std::uint32_t d : degrees) {
-    sum += d;
-    s.min = std::min(s.min, d);
-    s.max = std::max(s.max, d);
-  }
-  s.mean = sum / static_cast<double>(degrees.size());
-  double sq = 0.0;
-  for (const std::uint32_t d : degrees) {
-    const double c = static_cast<double>(d) - s.mean;
-    sq += c * c;
-  }
-  s.sd = degrees.size() > 1
-             ? std::sqrt(sq / static_cast<double>(degrees.size() - 1))
-             : 0.0;
-  return s;
-}
 
 FlatClusterProbe probe_cluster(const FlatSendForgetCluster& cluster,
                                std::vector<std::uint32_t>* occurrences) {
-  return probe_views(FlatViews{cluster, cluster.view_size()}, occurrences);
+  return ProbeSlices().run(FlatViews(cluster), /*degrees=*/true,
+                           /*components=*/false, occurrences);
 }
 
 RoundTimeSeries::RoundTimeSeries(std::uint64_t stride)

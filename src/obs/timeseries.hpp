@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,8 @@ struct DegreeSummary {
   double sd = 0.0;
   std::uint32_t min = 0;
   std::uint32_t max = 0;
+
+  friend bool operator==(const DegreeSummary&, const DegreeSummary&) = default;
 };
 
 // Cumulative driver counters at sampling time. `sent` counts messages the
@@ -69,7 +72,7 @@ struct RoundSample {
 // (outdegree_hist[d] = live nodes with outdegree d; indegree capped into
 // the last bucket), and the dependence census the TheoryOracle's α̂ check
 // reads (occupied view slots among live nodes / how many carry the
-// dependent tag).
+// dependent tag). obs/probe.hpp computes it, serially or in slices.
 struct FlatClusterProbe {
   DegreeSummary outdegree;
   DegreeSummary indegree;
@@ -79,11 +82,20 @@ struct FlatClusterProbe {
   std::vector<std::uint64_t> indegree_hist;   // size 2*view_size+1, last = overflow
   std::uint64_t occupied_slots = 0;
   std::uint64_t dependent_entries = 0;
+  // Live nodes in the largest weakly connected component of the view graph
+  // (edges between live nodes only). Set only by a probe that took the
+  // component census: the sharded driver's, when a recovery tracker is
+  // attached, which then reads it instead of walking the cluster again.
+  std::optional<std::uint64_t> largest_component;
+
+  friend bool operator==(const FlatClusterProbe&,
+                         const FlatClusterProbe&) = default;
 };
 // `occurrences`, when non-null, is resized to cluster.size() and filled
 // with each id's occurrence count across live views; dead ids get
 // kDeadNodeOccurrence (UINT32_MAX, declared in obs/oracle/theory_oracle.hpp)
 // so streaming consumers can tell "dead" from "live but never referenced".
+// One slice over every node; leaves largest_component unset.
 [[nodiscard]] FlatClusterProbe probe_cluster(
     const FlatSendForgetCluster& cluster,
     std::vector<std::uint32_t>* occurrences = nullptr);

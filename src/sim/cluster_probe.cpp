@@ -6,12 +6,11 @@ namespace gossip::sim {
 
 namespace {
 
-// The object engine as probe_views sees it: per-node view capacities.
+// The object engine as a probe sees it: per-node view capacities.
 struct ObjectViews {
   const Cluster& cluster;
 
   [[nodiscard]] std::size_t size() const { return cluster.size(); }
-  [[nodiscard]] std::size_t live_count() const { return cluster.live_count(); }
   [[nodiscard]] bool live(NodeId u) const { return cluster.live(u); }
   [[nodiscard]] std::size_t degree(NodeId u) const {
     return cluster.node(u).view().degree();
@@ -33,7 +32,8 @@ struct ObjectViews {
 
 obs::FlatClusterProbe probe_cluster(const Cluster& cluster,
                                     std::vector<std::uint32_t>* occurrences) {
-  return obs::probe_views(ObjectViews{cluster}, occurrences);
+  return obs::ProbeSlices().run(ObjectViews{cluster}, /*degrees=*/true,
+                                /*components=*/false, occurrences);
 }
 
 obs::CumulativeCounters cumulative_counters(const ProtocolMetrics& protocol,

@@ -1,4 +1,4 @@
-// Observability probe over the pointer-based Cluster: the same probe loop
+// Observability probe over the pointer-based Cluster: the same sliced probe
 // as obs::probe_cluster for FlatSendForgetCluster (obs/probe.hpp), plus the
 // cumulative-counter bridge the object-engine drivers feed their observers.
 #pragma once

@@ -81,8 +81,12 @@ class ObserverSet {
   [[nodiscard]] bool due(std::uint64_t round) const {
     return active() && round % stride_ == 0;
   }
-  // Scratch for the per-id occurrence census the oracle reads; null when
-  // no oracle is attached, so the probe can skip filling it.
+  // Whether a flat-engine probe takes the weak-component census: the
+  // recovery tracker's connectivity lane reads it.
+  [[nodiscard]] bool needs_components() const { return recovery_ != nullptr; }
+  // The per-id occurrence census the oracle reads, filled by the probe's
+  // in-degree merge; null when no oracle is attached (the probe then keeps
+  // its in-degree in its own scratch).
   [[nodiscard]] std::vector<std::uint32_t>* occurrences() {
     return oracle_ != nullptr ? &occurrences_ : nullptr;
   }

@@ -23,8 +23,6 @@ ShardedDriver::ShardedDriver(FlatSendForgetCluster& cluster,
   if (threads_ > config_.shard_count) {
     throw std::invalid_argument("thread_count must be <= shard_count");
   }
-  shards_per_worker_ =
-      (config_.shard_count + threads_ - 1) / threads_;  // ceil
   if (config_.loss_rate < 0.0 || config_.loss_rate > 1.0) {
     throw std::invalid_argument("loss_rate must be >= 0 and <= 1");
   }
@@ -96,9 +94,11 @@ void ShardedDriver::attach_profiler(obs::PhaseProfiler* profiler) {
     ph_initiate_ = profiler->phase("initiate");
     ph_drain_ = profiler->phase("drain");
     ph_barrier_ = profiler->phase("barrier_wait");
-    // The quiescent probe runs on the first worker on behalf of the whole
-    // cluster; labeling it a coordinator phase keeps reports from
-    // attributing all of its time to shard 0's workload.
+    // Each worker's probe slice, on the first shard of its block.
+    ph_probe_ = profiler->phase("probe");
+    // The merge and the observers run on the first worker on behalf of the
+    // whole cluster; labeling them a coordinator phase keeps reports from
+    // attributing all of their time to shard 0's workload.
     ph_observe_ = profiler->phase("observe", /*coordinator=*/true);
   }
 }
@@ -338,10 +338,17 @@ void ShardedDriver::deliver(
   }
 }
 
+void ShardedDriver::probe_slice(std::size_t worker) {
+  const std::size_t lo = shard_lo(worker);
+  const obs::PhaseProfiler::Scope timer(profiler_, ph_probe_, lo);
+  probe_.slice(obs::FlatViews(cluster_), worker, first_node(lo),
+               first_node(shard_hi(worker)));
+}
+
 void ShardedDriver::observe_round(std::uint64_t round) {
   const obs::PhaseProfiler::Scope timer(profiler_, ph_observe_, 0);
-  const obs::FlatClusterProbe probe =
-      obs::probe_cluster(cluster_, occurrences());
+  last_probe_ = probe_.merge(obs::FlatViews(cluster_));
+  const obs::FlatClusterProbe& probe = last_probe_;
   registry_.set(live_gauge_, 0, static_cast<double>(probe.live_nodes));
   registry_.set(round_gauge_, 0, static_cast<double>(round));
   if (config_.count_metrics) {
@@ -405,6 +412,10 @@ template <bool kCount, bool kRecord>
 std::uint64_t ShardedDriver::run_rounds_impl(std::uint64_t rounds,
                                              bool quiesce) {
   const std::uint64_t base = rounds_completed_;
+  if (needs_probe()) {
+    probe_.prepare(cluster_.size(), threads_, /*degrees=*/true,
+                   needs_components(), occurrences());
+  }
   if (threads_ == 1) {
     // One worker owns every shard; phases still run shard-blocked in
     // ascending order, so the schedule is the multi-thread schedule.
@@ -419,7 +430,10 @@ std::uint64_t ShardedDriver::run_rounds_impl(std::uint64_t rounds,
         const obs::PhaseProfiler::Scope timer(profiler_, ph_drain_, s);
         drain_phase<kCount, kRecord>(s, round);
       }
-      if (due(round)) observe_round(round);
+      if (due(round)) {
+        probe_slice(0);
+        observe_round(round);
+      }
       ++ran;
       if (quiesce && all_quiet()) break;
     }
@@ -454,8 +468,14 @@ std::uint64_t ShardedDriver::run_rounds_impl(std::uint64_t rounds,
         barrier.arrive_and_wait();
       }
       // Phase C: sampling is a pure function of (global round, stride), so
-      // every thread agrees on whether this third barrier exists.
+      // every thread agrees on whether these two barriers exist. Every
+      // worker probes its own rows; the first merges once all are done.
       if (due(round)) {
+        probe_slice(w);
+        {
+          const obs::PhaseProfiler::Scope timer(profiler_, ph_barrier_, lo);
+          barrier.arrive_and_wait();
+        }
         if (w == 0) observe_round(round);
         const obs::PhaseProfiler::Scope timer(profiler_, ph_barrier_, lo);
         barrier.arrive_and_wait();

@@ -22,11 +22,13 @@
 //     flight are dropped, like loss — the sender cannot tell).
 //   -- barrier --
 //   [phase C (observe), only on sampling rounds when observers are
-//     attached: the first worker probes the quiescent cluster and feeds
-//     the time-series recorder / invariant watchdog while the other
-//     workers wait at a third barrier. Whether a round samples is a pure
-//     function of the global round index and the observation stride, so
-//     every thread takes the same barrier count.]
+//     attached: every worker probes the rows of its own shard block into
+//     private partials (obs/probe.hpp) -- barrier -- then the first worker
+//     merges the partials in worker order and runs the observers while the
+//     others wait at a fourth barrier. The merged probe is bit-identical
+//     to a serial probe at any thread count. Whether a round samples is a
+//     pure function of the global round index and the observation stride,
+//     so every thread takes the same barrier count.]
 //
 // Why this is faithful to the paper's model: S&F actions are nonatomic and
 // the network may lose or delay any message (§4), so deferring cross-shard
@@ -56,6 +58,7 @@
 // state, so attaching observers leaves the fingerprint unchanged.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -67,6 +70,7 @@
 #include "core/flat_send_forget.hpp"
 #include "core/metrics.hpp"
 #include "obs/oracle/flight_recorder.hpp"
+#include "obs/probe.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "sim/fault_plane.hpp"
@@ -196,6 +200,17 @@ class ShardedDriver : private ObserverSet {
   // other worker waits, in ObserverSet's fixed order. All mailboxes are
   // drained by then, so the watchdog checks conservation exactly. ---
 
+  // The merged probe of the last sampled round (default before one); it
+  // carries largest_component when a recovery tracker is attached.
+  [[nodiscard]] const obs::FlatClusterProbe& last_probe() const {
+    return last_probe_;
+  }
+  // That probe's per-id in-degree census (kDeadNodeOccurrence for dead
+  // ids).
+  [[nodiscard]] const std::vector<std::uint32_t>& last_occurrences() const {
+    return probe_.indegree();
+  }
+
   [[nodiscard]] obs::MetricsRegistry& metrics_registry() { return registry_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics_registry() const {
     return registry_;
@@ -293,8 +308,12 @@ class ShardedDriver : private ObserverSet {
   template <bool kCount, bool kRecord>
   std::uint64_t run_rounds_impl(std::uint64_t rounds, bool quiesce);
   std::uint64_t run_rounds_dispatch(std::uint64_t rounds, bool quiesce);
-  // Runs on the first worker's thread while every other worker waits at
-  // the phase-C barrier (single-threaded: simply between rounds).
+  // Phase C, first step, on every worker: probes worker w's node range
+  // into slice w of probe_.
+  void probe_slice(std::size_t worker);
+  // Phase C, second step: merges the slices and runs the observers, on the
+  // first worker's thread while every other worker waits at the barrier
+  // (single-threaded: simply between rounds).
   void observe_round(std::uint64_t round);
   [[nodiscard]] bool all_quiet() const {
     for (const Shard& sh : shards_) {
@@ -303,13 +322,19 @@ class ShardedDriver : private ObserverSet {
     return true;
   }
 
-  // Worker w owns the contiguous shard block [shard_lo(w), shard_hi(w)).
+  // Worker w owns the contiguous shard block [shard_lo(w), shard_hi(w)):
+  // the balanced split [w*S/T, (w+1)*S/T), never empty since T <= S.
   [[nodiscard]] std::size_t shard_lo(std::size_t worker) const {
-    return worker * shards_per_worker_;
+    return worker * config_.shard_count / threads_;
   }
   [[nodiscard]] std::size_t shard_hi(std::size_t worker) const {
-    const std::size_t hi = (worker + 1) * shards_per_worker_;
-    return hi < config_.shard_count ? hi : config_.shard_count;
+    return shard_lo(worker + 1);
+  }
+  // First node of shard `shard`, clamped to the node count (trailing
+  // shards may own no nodes).
+  [[nodiscard]] NodeId first_node(std::size_t shard) const {
+    return static_cast<NodeId>(
+        std::min(shard * nodes_per_shard_, cluster_.size()));
   }
 
   [[nodiscard]] FrameMailbox& outbox(std::size_t src, std::size_t dst) {
@@ -319,7 +344,6 @@ class ShardedDriver : private ObserverSet {
   FlatSendForgetCluster& cluster_;
   ShardedDriverConfig config_;
   std::size_t threads_;            // effective worker threads
-  std::size_t shards_per_worker_;  // ceil(shard_count / threads_)
   std::size_t nodes_per_shard_;
   std::uint64_t shard_magic_;      // 2^64 / nodes_per_shard_, rounded up
   obs::MetricsRegistry registry_;
@@ -330,6 +354,9 @@ class ShardedDriver : private ObserverSet {
   std::vector<std::uint32_t> live_pos_;      // id -> index in its shard list
   Rng churn_rng_;
   std::uint64_t rounds_completed_ = 0;
+  // Phase-C probe scratch, one slice per worker, sized at each run_rounds.
+  obs::ProbeSlices probe_;
+  obs::FlatClusterProbe last_probe_;
 
   obs::PhaseProfiler* profiler_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
@@ -345,6 +372,7 @@ class ShardedDriver : private ObserverSet {
   obs::PhaseId ph_initiate_{};
   obs::PhaseId ph_drain_{};
   obs::PhaseId ph_barrier_{};
+  obs::PhaseId ph_probe_{};
   obs::PhaseId ph_observe_{};
 };
 

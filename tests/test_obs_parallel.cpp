@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/flat_send_forget.hpp"
@@ -16,6 +17,7 @@
 #include "obs/export/snapshot.hpp"
 #include "obs/oracle/flight_recorder.hpp"
 #include "obs/oracle/theory_oracle.hpp"
+#include "obs/probe.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recovery.hpp"
 #include "obs/registry.hpp"
@@ -178,25 +180,174 @@ TEST(ObsParallel, CountersRegisteredAfterAttachKeepTheRunExact) {
   EXPECT_EQ(series.samples().size(), rounds / 5);
 }
 
+// The slice/merge arithmetic on its own: any cut of [0, n) into any number
+// of slices, walked in any order, merges to the one-slice probe. The view
+// graph is two chains (u -> u + 2) cut by two dead nodes, so every slice
+// holds links the component census needs.
+TEST(ObsParallel, ProbeSlicesMergeToTheOneSliceProbe) {
+  const std::size_t n = 97;
+  FlatSendForgetCluster cluster(n, SendForgetConfig{.view_size = 6,
+                                                    .min_degree = 0});
+  for (NodeId u = 0; u + 2 < n; ++u) cluster.install_view(u, {u + 2});
+  cluster.kill(40);
+  cluster.kill(41);
+  std::vector<std::uint32_t> serial_occurrences;
+  const obs::FlatClusterProbe serial =
+      obs::ProbeSlices().run(obs::FlatViews(cluster), /*degrees=*/true,
+                             /*components=*/true, &serial_occurrences);
+  // The chain pieces: evens 0..38 and 42..96, odds 1..39 and 43..95.
+  ASSERT_TRUE(serial.largest_component.has_value());
+  EXPECT_EQ(*serial.largest_component, 28u);
+  EXPECT_EQ(serial_occurrences[40], obs::kDeadNodeOccurrence);
+
+  for (const std::size_t slices : {2, 3, 5}) {
+    SCOPED_TRACE(testing::Message() << slices << " slices");
+    obs::ProbeSlices probe;
+    std::vector<std::uint32_t> occurrences;
+    probe.prepare(n, slices, /*degrees=*/true, /*components=*/true,
+                  &occurrences);
+    for (std::size_t k = slices; k-- > 0;) {
+      probe.slice(obs::FlatViews(cluster), k,
+                  static_cast<NodeId>(k * n / slices),
+                  static_cast<NodeId>((k + 1) * n / slices));
+    }
+    EXPECT_TRUE(probe.merge(obs::FlatViews(cluster)) == serial);
+    EXPECT_EQ(occurrences, serial_occurrences);
+  }
+}
+
+// An overlay of three interleaved islands (node u sits in island u % 5 < 3
+// ? 0 : u % 5 - 2, so 60/20/20 percent), each a sparse ring in which every
+// member's view holds its next two members. S&F never bridges the islands,
+// every worker's node range holds members of all three, and the islands
+// are sparse enough that their connectivity rests on the rows of every
+// range, so the component census must merge all slices' forests.
+FlatSendForgetCluster island_cluster(std::size_t n) {
+  FlatSendForgetCluster cluster(n, default_send_forget_config());
+  std::vector<std::vector<NodeId>> islands(3);
+  for (NodeId u = 0; u < n; ++u) {
+    islands[u % 5 < 3 ? 0 : u % 5 - 2].push_back(u);
+  }
+  for (const std::vector<NodeId>& members : islands) {
+    const std::size_t m = members.size();
+    for (std::size_t i = 0; i < m; ++i) {
+      cluster.install_view(members[i],
+                           {members[(i + 1) % m], members[(i + 2) % m]});
+    }
+  }
+  return cluster;
+}
+
+enum class Overlay { kSteady, kChurned, kDisconnected };
+
+// The driver's merged phase-C probe at `threads` workers must equal the
+// serial probe of the same quiescent cluster field for field, with the
+// same occurrence census and the same component fraction as the recovery
+// tracker's own serial census.
+void expect_probe_matches_serial(Overlay overlay, std::size_t shards,
+                                 std::size_t threads) {
+  SCOPED_TRACE(testing::Message() << "overlay " << static_cast<int>(overlay)
+                                  << ", " << shards << " shards on "
+                                  << threads << " threads");
+  const std::size_t n = 2'003;  // not a multiple of any shard count
+  const SendForgetConfig cfg = default_send_forget_config();
+  FlatSendForgetCluster cluster = overlay == Overlay::kDisconnected
+                                      ? island_cluster(n)
+                                      : regular_cluster(n, 3);
+  sim::ShardedDriver driver(
+      cluster, sim::ShardedDriverConfig{.shard_count = shards,
+                                        .thread_count = threads,
+                                        .loss_rate = 0.02,
+                                        .seed = 17});
+  const obs::RecoveryConfig recovery_config{.min_degree = cfg.min_degree,
+                                            .view_size = cfg.view_size};
+  obs::RecoveryTracker recovery(recovery_config);
+  obs::RoundTimeSeries series(5);
+  driver.attach_time_series(&series);
+  driver.attach_recovery(&recovery);
+  driver.run_rounds(40);
+  std::vector<NodeId> killed;
+  if (overlay == Overlay::kChurned) {
+    // Kill a tenth of the nodes and sample again before S&F washes their
+    // ids out of the live views.
+    for (NodeId u = 3; u < n; u += 10) {
+      driver.kill(u);
+      killed.push_back(u);
+    }
+    driver.run_rounds(5);
+  }
+
+  std::vector<std::uint32_t> occurrences;
+  const obs::FlatClusterProbe serial =
+      obs::probe_cluster(cluster, &occurrences);
+  obs::RecoveryTracker serial_recovery(recovery_config);
+  serial_recovery.observe(driver.rounds_completed(), serial, &cluster, nullptr,
+                          nullptr);
+
+  obs::FlatClusterProbe merged = driver.last_probe();
+  ASSERT_TRUE(merged.largest_component.has_value());
+  EXPECT_EQ(recovery.component_fraction(),
+            serial_recovery.component_fraction());
+  merged.largest_component.reset();
+  EXPECT_TRUE(merged == serial);
+  EXPECT_EQ(merged.outdegree.mean, serial.outdegree.mean);
+  EXPECT_EQ(merged.indegree.sd, serial.indegree.sd);
+  EXPECT_EQ(merged.indegree_hist, serial.indegree_hist);
+  EXPECT_EQ(driver.last_occurrences(), occurrences);
+
+  EXPECT_EQ(serial.live_nodes, n - killed.size());
+  std::uint64_t stale_refs = 0;
+  for (const NodeId u : killed) {
+    EXPECT_EQ(driver.last_occurrences()[u], obs::kDeadNodeOccurrence);
+    for (NodeId v = 0; v < n; ++v) {
+      if (!cluster.live(v)) continue;
+      for (const NodeId id : cluster.view_ids(v)) stale_refs += id == u;
+    }
+  }
+  if (overlay == Overlay::kChurned) EXPECT_GT(stale_refs, 0u);
+  if (overlay == Overlay::kDisconnected) {
+    // Island 0 holds the 1'203 nodes u with u % 5 < 3.
+    EXPECT_EQ(recovery.component_fraction(), 1'203.0 / 2'003.0);
+  } else {
+    EXPECT_EQ(recovery.component_fraction(), 1.0);
+  }
+}
+
+TEST(ObsParallel, MergedProbeMatchesSerialProbeAtEveryThreadCount) {
+  const std::pair<std::size_t, std::size_t> layouts[] = {
+      {4, 1}, {4, 2}, {4, 4}, {5, 4}, {8, 3}};
+  for (const Overlay overlay :
+       {Overlay::kSteady, Overlay::kChurned, Overlay::kDisconnected}) {
+    for (const auto& [shards, threads] : layouts) {
+      expect_probe_matches_serial(overlay, shards, threads);
+    }
+  }
+}
+
 struct ChaosOutcome {
   std::uint64_t fingerprint = 0;
   obs::CumulativeCounters counters;
   std::string recovery_json;
   std::string oracle_json;
+  std::string series_json;
+  std::string snapshots;
 };
 
-// The chaos wiring — oracle, fault plane, flight recorder, recovery and a
-// streamer with counter probes — attached in one of two orders. In the
-// reversed order the streamer comes first and its probes are wired last,
-// after every other attach call.
-ChaosOutcome run_chaos_wiring(bool reversed) {
+// The chaos wiring — oracle, fault plane, flight recorder, recovery, a
+// time series and a streamer with counter probes — attached in one of two
+// orders. In the reversed order the streamer comes first and its probes
+// are wired last, after every other attach call. `threads` = 0 runs one
+// worker per shard.
+ChaosOutcome run_chaos_wiring(bool reversed, std::size_t shards = 2,
+                              std::size_t threads = 0) {
   const std::size_t n = 2'000;
-  const std::size_t shards = 2;
   const SendForgetConfig cfg = default_send_forget_config();
   FlatSendForgetCluster cluster = regular_cluster(n, 9);
   sim::ShardedDriver driver(
-      cluster, sim::ShardedDriverConfig{
-                   .shard_count = shards, .loss_rate = 0.02, .seed = 13});
+      cluster, sim::ShardedDriverConfig{.shard_count = shards,
+                                        .thread_count = threads,
+                                        .loss_rate = 0.02,
+                                        .seed = 13});
 
   sim::FaultSchedule schedule;
   sim::FaultPhase cut;
@@ -223,6 +374,8 @@ ChaosOutcome run_chaos_wiring(bool reversed) {
       .min_degree = cfg.min_degree, .view_size = cfg.view_size,
       .warmup_rounds = 10});
   recovery.declare_window(cut.begin, cut.end, cut.label);
+  obs::RoundTimeSeries series(5);
+  recovery.attach_series(&series);
   obs::FlightRecorder recorder(shards, 512);
   obs::SnapshotStreamer streamer(driver.metrics_registry(),
                                  obs::ExportConfig{.snapshot_stride = 5});
@@ -242,9 +395,11 @@ ChaosOutcome run_chaos_wiring(bool reversed) {
     driver.attach_fault_plane(&plane);
     driver.attach_flight_recorder(&recorder);
     driver.attach_recovery(&recovery);
+    driver.attach_time_series(&series);
     driver.attach_streamer(&streamer);
   } else {
     driver.attach_streamer(&streamer);
+    driver.attach_time_series(&series);
     driver.attach_recovery(&recovery);
     driver.attach_flight_recorder(&recorder);
     driver.attach_fault_plane(&plane);
@@ -263,6 +418,12 @@ ChaosOutcome run_chaos_wiring(bool reversed) {
   std::ostringstream oracle_json;
   oracle.write_json(oracle_json);
   out.oracle_json = oracle_json.str();
+  std::ostringstream series_json;
+  series.write_json(series_json);
+  series.write_annotations_json(series_json);
+  out.series_json = series_json.str();
+  streamer.finish();
+  out.snapshots = snapshots.str();
   return out;
 }
 
@@ -286,6 +447,26 @@ TEST(ObsParallel, ChaosWiringIsIndependentOfAttachSequence) {
   EXPECT_EQ(a.counters.ids_accepted, b.counters.ids_accepted);
   EXPECT_EQ(a.recovery_json, b.recovery_json);
   EXPECT_EQ(a.oracle_json, b.oracle_json);
+}
+
+// The full chaos wiring at 1, 2 and 4 worker threads over the same 4
+// shards: the parallel observe phase must leave every observer output
+// byte-identical.
+TEST(ObsParallel, ChaosWiringIsIndependentOfThreadCount) {
+  const ChaosOutcome base = run_chaos_wiring(/*reversed=*/false, 4, 1);
+  EXPECT_GT(base.counters.faulted, 0u);
+  EXPECT_FALSE(base.snapshots.empty());
+  EXPECT_NE(base.recovery_json.find("\"label\":\"split\""),
+            std::string::npos);
+  for (const std::size_t threads : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const ChaosOutcome other = run_chaos_wiring(/*reversed=*/false, 4, threads);
+    EXPECT_EQ(base.fingerprint, other.fingerprint);
+    EXPECT_EQ(base.snapshots, other.snapshots);
+    EXPECT_EQ(base.recovery_json, other.recovery_json);
+    EXPECT_EQ(base.oracle_json, other.oracle_json);
+    EXPECT_EQ(base.series_json, other.series_json);
+  }
 }
 
 }  // namespace

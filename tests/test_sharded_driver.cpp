@@ -5,11 +5,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/flat_send_forget.hpp"
 #include "core/send_forget.hpp"
 #include "graph/graph_gen.hpp"
+#include "obs/profiler.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/round_driver.hpp"
 
 namespace gossip::sim {
@@ -189,6 +192,34 @@ TEST(ShardedDriver, FingerprintInvariantAcrossThreadCounts) {
   // ... while shard_count is part of the contract: changing it re-streams
   // the RNGs and must diverge.
   EXPECT_NE(base, churny_run(4096, 4, 123, /*threads=*/4));
+}
+
+TEST(ShardedDriver, UnevenShardBlocksStayInBoundsWithAProfiler) {
+  // Thread counts that do not divide the shard count: every worker's block
+  // must be a nonempty range inside [0, shard_count), or its barrier and
+  // probe timers would write past the profiler's per-shard slabs (an ASan
+  // heap-buffer-overflow). The observed, profiled run must still land on
+  // the one-thread fingerprint.
+  const auto run = [](std::size_t shards, std::size_t threads) {
+    FlatSendForgetCluster cluster(2'000, default_send_forget_config());
+    install_regular_topology(cluster, 18, 9);
+    ShardedDriver driver(cluster, ShardedDriverConfig{.shard_count = shards,
+                                                      .thread_count = threads,
+                                                      .loss_rate = 0.05,
+                                                      .seed = 41});
+    obs::PhaseProfiler profiler(shards);
+    obs::RoundTimeSeries series(2);
+    driver.attach_profiler(&profiler);
+    driver.attach_time_series(&series);
+    driver.run_rounds(6);
+    return cluster.fingerprint() ^ driver.network_metrics().delivered;
+  };
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {5, 4}, {6, 4}, {7, 4}, {3, 2}};
+  for (const auto& [shards, threads] : cases) {
+    EXPECT_EQ(run(shards, threads), run(shards, 1))
+        << shards << " shards on " << threads << " threads";
+  }
 }
 
 TEST(ShardedDriver, BatchedPairsDeterministicAcrossThreadCounts) {
