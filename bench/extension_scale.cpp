@@ -101,12 +101,7 @@ double run_sharded(std::size_t n, std::size_t shards, std::size_t threads,
   Rng rng(7 + n);
   FlatSendForgetCluster cluster(n, default_send_forget_config(),
                                 FlatClusterOptions{.init_threads = threads});
-  {
-    const Digraph g = permutation_regular(n, 10, rng);
-    for (NodeId u = 0; u < n; ++u) {
-      cluster.install_view(u, g.out_neighbors(u));
-    }
-  }
+  cluster.install_graph(permutation_regular(n, 10, rng));
   // Logical shards are the determinism unit; threads are an execution knob.
   // shards > threads is the cache-residency configuration: each shard's
   // slab slice stays L2-resident through its initiate/drain phases.

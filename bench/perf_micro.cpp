@@ -71,12 +71,7 @@ void BM_PackedTwoSlotSample(benchmark::State& state) {
   SendForgetConfig cfg = default_send_forget_config();
   cfg.min_degree = 34;  // max legal dL for s = 40: stay in duplicate mode
   FlatSendForgetCluster cluster(kN, cfg);
-  {
-    const Digraph g = permutation_regular(kN, cfg.min_degree, rng);
-    for (NodeId u = 0; u < kN; ++u) {
-      cluster.install_view(u, g.out_neighbors(u));
-    }
-  }
+  cluster.install_graph(permutation_regular(kN, cfg.min_degree, rng));
   FlatPush msg;
   NodeId u = 0;
   std::uint64_t sent = 0;
@@ -99,12 +94,7 @@ void BM_PackedStoreDeliver(benchmark::State& state) {
   Rng rng(12);
   const SendForgetConfig cfg = default_send_forget_config();
   FlatSendForgetCluster cluster(kN, cfg);
-  {
-    const Digraph g = permutation_regular(kN, 30, rng);
-    for (NodeId u = 0; u < kN; ++u) {
-      cluster.install_view(u, g.out_neighbors(u));
-    }
-  }
+  cluster.install_graph(permutation_regular(kN, 30, rng));
   FlatPush out;
   NodeId u = 0;
   for (auto _ : state) {
@@ -207,12 +197,7 @@ void BM_FlatShardedRound(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
   FlatSendForgetCluster cluster(n, default_send_forget_config());
-  {
-    const Digraph g = permutation_regular(n, 10, rng);
-    for (NodeId u = 0; u < n; ++u) {
-      cluster.install_view(u, g.out_neighbors(u));
-    }
-  }
+  cluster.install_graph(permutation_regular(n, 10, rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
                    .shard_count = threads, .loss_rate = 0.01, .seed = 4});
@@ -267,12 +252,7 @@ void BM_FlatShardedRoundObserved(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(1));
   const SendForgetConfig cfg = default_send_forget_config();
   FlatSendForgetCluster cluster(n, cfg);
-  {
-    const Digraph g = permutation_regular(n, cfg.min_degree, rng);
-    for (NodeId u = 0; u < n; ++u) {
-      cluster.install_view(u, g.out_neighbors(u));
-    }
-  }
+  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
                    .shard_count = threads, .loss_rate = 0.01, .seed = 4});

@@ -73,10 +73,7 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t count,
 
 std::vector<std::size_t> Rng::permutation(std::size_t count) {
   std::vector<std::size_t> perm(count);
-  for (std::size_t i = 0; i < count; ++i) perm[i] = i;
-  for (std::size_t i = count; i > 1; --i) {
-    std::swap(perm[i - 1], perm[uniform(i)]);
-  }
+  fill_permutation(std::span(perm));
   return perm;
 }
 

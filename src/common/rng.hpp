@@ -10,6 +10,7 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -110,6 +111,21 @@ class Rng {
 
   // Fisher-Yates shuffle of an index permutation [0, count).
   std::vector<std::size_t> permutation(std::size_t count);
+
+  // Writes a uniformly random permutation of [0, out.size()) into `out`:
+  // the identity, then Fisher-Yates drawing uniform(i) for i = size .. 2.
+  // permutation() and permutation_regular share this routine, so equal
+  // generator states give equal permutations whatever the index type.
+  // Index must hold out.size() - 1.
+  template <typename Index>
+  void fill_permutation(std::span<Index> out) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = static_cast<Index>(i);
+    }
+    for (std::size_t i = out.size(); i > 1; --i) {
+      std::swap(out[i - 1], out[uniform(i)]);
+    }
+  }
 
   // Derives an independent child generator; used to give each simulated
   // node / subsystem its own stream.

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
+// Only Digraph's inline accessors are used, so core takes no link
+// dependency on the graph library, which itself links core.
+#include "graph/digraph.hpp"
+
 namespace gossip {
 
 FlatSendForgetCluster::FlatSendForgetCluster(std::size_t node_count,
@@ -167,6 +171,13 @@ void FlatSendForgetCluster::install_view(NodeId u,
     v[i] = PackedViewEntry::pack(ids[i], /*dependent=*/false);
   }
   degree_[u] = static_cast<std::uint16_t>(count);
+}
+
+void FlatSendForgetCluster::install_graph(const Digraph& graph) {
+  if (graph.node_count() != n_) {
+    throw std::invalid_argument("graph size does not match cluster size");
+  }
+  for (NodeId u = 0; u < n_; ++u) install_view(u, graph.out_neighbors(u));
 }
 
 void FlatSendForgetCluster::install_slot(NodeId u, std::size_t slot,

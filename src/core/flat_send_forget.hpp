@@ -45,6 +45,8 @@
 
 namespace gossip {
 
+class Digraph;
+
 // Upper bound on `pairs_per_message`, fixed so FlatPush stays a fixed-size
 // POD the mailbox frames can hold by value.
 inline constexpr std::size_t kMaxPairsPerMessage = 4;
@@ -180,6 +182,11 @@ class FlatSendForgetCluster {
 
   // Installs up to s out-neighbors into u's first slots, tagged independent.
   void install_view(NodeId u, const std::vector<NodeId>& ids);
+
+  // Installs views from a membership graph: node u's view receives the
+  // multiset of out-neighbors of u (truncated at capacity). Throws
+  // std::invalid_argument unless the graph has size() vertices.
+  void install_graph(const Digraph& graph);
 
   // Installs `id` (tagged independent) into slot `slot` of u, which must be
   // empty. Lets callers seed huge clusters slot-by-slot — e.g. from a family

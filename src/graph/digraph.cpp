@@ -3,11 +3,21 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <utility>
 
 namespace gossip {
 
 Digraph::Digraph(std::size_t node_count)
     : out_(node_count), in_degree_(node_count, 0) {}
+
+Digraph Digraph::from_in_regular_rows(std::vector<std::vector<NodeId>> rows,
+                                      std::size_t in_degree) {
+  Digraph g;
+  g.in_degree_.assign(rows.size(), in_degree);
+  g.edge_count_ = rows.size() * in_degree;
+  g.out_ = std::move(rows);
+  return g;
+}
 
 NodeId Digraph::add_node() {
   out_.emplace_back();
@@ -70,11 +80,6 @@ std::size_t Digraph::out_degree(NodeId node) const {
 std::size_t Digraph::in_degree(NodeId node) const {
   assert(node < in_degree_.size());
   return in_degree_[node];
-}
-
-const std::vector<NodeId>& Digraph::out_neighbors(NodeId node) const {
-  assert(node < out_.size());
-  return out_[node];
 }
 
 std::size_t Digraph::self_edge_count() const {

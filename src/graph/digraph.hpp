@@ -6,6 +6,7 @@
 // connectivity checks, and to generate initial topologies.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -18,6 +19,13 @@ class Digraph {
  public:
   // Creates a graph with `node_count` vertices and no edges.
   explicit Digraph(std::size_t node_count = 0);
+
+  // Takes complete adjacency rows in which every vertex is the target of
+  // exactly `in_degree` edges, so no in-degree is counted edge by edge.
+  // For generators whose graphs are in-regular by construction, such as a
+  // union of permutations; the caller guarantees the in-degrees.
+  [[nodiscard]] static Digraph from_in_regular_rows(
+      std::vector<std::vector<NodeId>> rows, std::size_t in_degree);
 
   [[nodiscard]] std::size_t node_count() const { return out_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
@@ -43,7 +51,10 @@ class Digraph {
 
   // Out-neighbors with multiplicity (the multiset u.lv restricted to
   // nonempty entries). Order is insertion order; not sorted.
-  [[nodiscard]] const std::vector<NodeId>& out_neighbors(NodeId node) const;
+  [[nodiscard]] const std::vector<NodeId>& out_neighbors(NodeId node) const {
+    assert(node < out_.size());
+    return out_[node];
+  }
 
   // Number of self-edges (u, u) summed over all nodes.
   [[nodiscard]] std::size_t self_edge_count() const;

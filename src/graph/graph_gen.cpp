@@ -1,7 +1,11 @@
 #include "graph/graph_gen.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace gossip {
 
@@ -36,20 +40,36 @@ Digraph ring_with_chords(std::size_t n, std::size_t chords_per_node,
 
 Digraph permutation_regular(std::size_t n, std::size_t k, Rng& rng) {
   if (n < 2) throw std::invalid_argument("need at least 2 nodes");
-  Digraph g(n);
-  for (std::size_t round = 0; round < k; ++round) {
-    auto perm = rng.permutation(n);
-    // Remove fixed points by swapping each with its successor; the result
-    // remains a permutation and has no fixed points.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (perm[i] == i) std::swap(perm[i], perm[(i + 1) % n]);
+  // Rows are reserved once at k slots and filled node by node from a few
+  // permutations at a time. Round r still draws the r-th permutation and
+  // lands in slot r of every row, so the graph and the draws equal those of
+  // adding one edge per node per round. A batch of 6 keeps the buffer at a
+  // few n x 4 B; buffering all k is barely faster and needs more memory.
+  constexpr std::size_t kBatch = 6;
+  std::vector<std::vector<NodeId>> rows(n);
+  for (auto& row : rows) row.reserve(k);
+  std::vector<NodeId> buffer(std::min(k, kBatch) * n);
+  for (std::size_t first = 0; first < k; first += kBatch) {
+    const std::size_t batch = std::min(kBatch, k - first);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const std::span perm(buffer.data() + b * n, n);
+      rng.fill_permutation(perm);
+      // Remove fixed points by swapping each with its successor; the
+      // result remains a permutation and has no fixed points.
+      for (std::size_t i = 0; i < n; ++i) {
+        if (perm[i] == i) std::swap(perm[i], perm[(i + 1) % n]);
+      }
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      assert(perm[i] != i);
-      g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(perm[i]));
+    for (std::size_t u = 0; u < n; ++u) {
+      for (std::size_t b = 0; b < batch; ++b) {
+        const NodeId v = buffer[b * n + u];
+        assert(v != u);
+        rows[u].push_back(v);
+      }
     }
   }
-  return g;
+  // Every round is a bijection, so every in-degree is exactly k.
+  return Digraph::from_in_regular_rows(std::move(rows), k);
 }
 
 Digraph line_graph(std::size_t n) {

@@ -467,16 +467,14 @@ std::uint64_t sharded_run_fingerprint(bool with_exporters) {
   FlatSendForgetCluster cluster(
       n, SendForgetConfig{.view_size = 40, .min_degree = 18});
   Rng graph_rng(21);
-  const Digraph g = permutation_regular(n, 18, graph_rng);
-  for (NodeId u = 0; u < n; ++u) {
-    cluster.install_view(u, g.out_neighbors(u));
-  }
+  cluster.install_graph(permutation_regular(n, 18, graph_rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
                    .shard_count = 2, .loss_rate = 0.05, .seed = 77});
   driver.set_observation_stride(5);
-  std::unique_ptr<SnapshotStreamer> streamer;
+  // Declared before the streamer, whose destructor flushes it.
   std::ostringstream jsonl;
+  std::unique_ptr<SnapshotStreamer> streamer;
   if (with_exporters) {
     streamer = std::make_unique<SnapshotStreamer>(
         driver.metrics_registry(), ExportConfig{.snapshot_stride = 1});
@@ -501,10 +499,7 @@ TEST(ExportPlane, RecorderWrapGaugeTracksDrops) {
   FlatSendForgetCluster cluster(
       n, SendForgetConfig{.view_size = 40, .min_degree = 18});
   Rng graph_rng(9);
-  const Digraph g = permutation_regular(n, 18, graph_rng);
-  for (NodeId u = 0; u < n; ++u) {
-    cluster.install_view(u, g.out_neighbors(u));
-  }
+  cluster.install_graph(permutation_regular(n, 18, graph_rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
                    .shard_count = 2, .loss_rate = 0.05, .seed = 3});

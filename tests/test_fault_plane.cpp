@@ -310,10 +310,7 @@ TEST(FaultPlaneDrop, BurstChainRestartsGoodOnReactivation) {
 void install_regular_topology(FlatSendForgetCluster& cluster, std::size_t k,
                               std::uint64_t graph_seed) {
   Rng rng(graph_seed);
-  const Digraph g = permutation_regular(cluster.size(), k, rng);
-  for (NodeId u = 0; u < cluster.size(); ++u) {
-    cluster.install_view(u, g.out_neighbors(u));
-  }
+  cluster.install_graph(permutation_regular(cluster.size(), k, rng));
 }
 
 FaultSchedule busy_schedule(std::size_t n) {

@@ -193,8 +193,7 @@ std::uint64_t sharded_fingerprint(std::size_t n, std::size_t shards,
                                   FlightRecorder* recorder) {
   FlatSendForgetCluster cluster(n, default_send_forget_config());
   Rng graph_rng(21);
-  const Digraph g = permutation_regular(n, 18, graph_rng);
-  for (NodeId u = 0; u < n; ++u) cluster.install_view(u, g.out_neighbors(u));
+  cluster.install_graph(permutation_regular(n, 18, graph_rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
                    .shard_count = shards, .loss_rate = 0.05, .seed = seed});

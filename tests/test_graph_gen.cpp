@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cassert>
+#include <cstdint>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "graph/connectivity.hpp"
 #include "graph/graph_stats.hpp"
@@ -64,6 +68,87 @@ TEST(GraphGen, PermutationRegularSmallSystems) {
   EXPECT_EQ(g.edge_multiplicity(0, 0), 0u);
   EXPECT_EQ(g.edge_multiplicity(1, 1), 0u);
   EXPECT_THROW(permutation_regular(1, 3, rng), std::invalid_argument);
+}
+
+// The edge-at-a-time generator, kept verbatim as the reference that the
+// node-by-node build must match row for row and draw for draw.
+Digraph reference_permutation_regular(std::size_t n, std::size_t k,
+                                      Rng& rng) {
+  if (n < 2) throw std::invalid_argument("need at least 2 nodes");
+  Digraph g(n);
+  for (std::size_t round = 0; round < k; ++round) {
+    auto perm = rng.permutation(n);
+    // Remove fixed points by swapping each with its successor; the result
+    // remains a permutation and has no fixed points.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (perm[i] == i) std::swap(perm[i], perm[(i + 1) % n]);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      assert(perm[i] != i);
+      g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(perm[i]));
+    }
+  }
+  return g;
+}
+
+// True when the fix-up pass over the last of the k permutations drawn from
+// Rng(seed) still finds n-1 fixed and swaps it with slot 0 (wrap-around).
+bool last_round_wraps_around(std::size_t n, std::size_t k,
+                             std::uint64_t seed) {
+  Rng rng(seed);
+  for (std::size_t round = 0; round + 1 < k; ++round) {
+    (void)rng.permutation(n);
+  }
+  auto perm = rng.permutation(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (perm[i] == i) std::swap(perm[i], perm[i + 1]);
+  }
+  return perm[n - 1] == n - 1;
+}
+
+void expect_matches_reference(std::size_t n, std::size_t k,
+                              std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message()
+               << "n=" << n << " k=" << k << " seed=" << seed);
+  Rng reference_rng(seed);
+  Rng rng(seed);
+  const Digraph expected = reference_permutation_regular(n, k, reference_rng);
+  const Digraph g = permutation_regular(n, k, rng);
+  EXPECT_TRUE(g == expected);
+  EXPECT_EQ(g.edge_count(), n * k);
+  for (NodeId u = 0; u < n; ++u) {
+    ASSERT_EQ(g.out_neighbors(u), expected.out_neighbors(u)) << "node " << u;
+    ASSERT_EQ(g.in_degree(u), k) << "node " << u;
+  }
+  // Callers such as `simulate` keep drawing from the same generator.
+  EXPECT_EQ(rng(), reference_rng());
+}
+
+TEST(GraphGen, PermutationRegularMatchesEdgeAtATimeReference) {
+  struct Case {
+    std::size_t n;
+    std::size_t k;
+    std::uint64_t seed;
+  };
+  const Case cases[] = {
+      {2, 1, 1},    {2, 3, 6},     {10, 0, 1},          {300, 30, 5},
+      {1000, 7, 3}, {1000, 18, 4}, {1'000'000, 18, 22},
+  };
+  for (const auto& c : cases) expect_matches_reference(c.n, c.k, c.seed);
+}
+
+// Seeds whose last round leaves n-1 fixed until the fix-up pass swaps it
+// with slot 0, including the smallest such system (n = 3, k = 1).
+TEST(GraphGen, PermutationRegularMatchesReferenceOnWrapAroundFixedPoint) {
+  for (const auto& [n, k, seed] :
+       {std::tuple<std::size_t, std::size_t, std::uint64_t>{3, 1, 1},
+        {3, 4, 9},
+        {5, 3, 8},
+        {50, 5, 5}}) {
+    ASSERT_TRUE(last_round_wraps_around(n, k, seed))
+        << "n=" << n << " k=" << k << " seed=" << seed;
+    expect_matches_reference(n, k, seed);
+  }
 }
 
 TEST(GraphGen, LineGraphShape) {

@@ -97,8 +97,7 @@ std::pair<std::string, std::uint64_t> observed_run(std::size_t shards) {
   const SendForgetConfig cfg = default_send_forget_config();
   Rng rng(99);
   FlatSendForgetCluster cluster(n, cfg);
-  const Digraph g = permutation_regular(n, cfg.min_degree, rng);
-  for (NodeId u = 0; u < n; ++u) cluster.install_view(u, g.out_neighbors(u));
+  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
                    .shard_count = shards, .loss_rate = 0.05, .seed = 42});
@@ -337,8 +336,7 @@ TEST(Watchdog, CleanOnLossChurnIntegrationRun) {
   const SendForgetConfig cfg = default_send_forget_config();
   Rng rng(17);
   FlatSendForgetCluster cluster(n, cfg);
-  const Digraph g = permutation_regular(n, cfg.min_degree, rng);
-  for (NodeId u = 0; u < n; ++u) cluster.install_view(u, g.out_neighbors(u));
+  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
                    .shard_count = 4, .loss_rate = 0.05, .seed = 23});
@@ -375,8 +373,7 @@ TEST(Watchdog, DriverSurfacesInjectedViewCorruption) {
   const SendForgetConfig cfg{.view_size = 8, .min_degree = 2};
   Rng rng(5);
   FlatSendForgetCluster cluster(n, cfg);
-  const Digraph g = permutation_regular(n, cfg.min_degree, rng);
-  for (NodeId u = 0; u < n; ++u) cluster.install_view(u, g.out_neighbors(u));
+  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
                    .shard_count = 2, .loss_rate = 0.0, .seed = 3});
@@ -406,8 +403,7 @@ TEST(Watchdog, DriverSurfacesFabricatedMailboxImbalance) {
   const SendForgetConfig cfg{.view_size = 8, .min_degree = 2};
   Rng rng(6);
   FlatSendForgetCluster cluster(n, cfg);
-  const Digraph g = permutation_regular(n, cfg.min_degree, rng);
-  for (NodeId u = 0; u < n; ++u) cluster.install_view(u, g.out_neighbors(u));
+  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
                    .shard_count = 2, .loss_rate = 0.05, .seed = 9});
@@ -488,10 +484,7 @@ TEST(RoundTimeSeries, StrideLargerThanRunLengthYieldsNoSamples) {
   FlatSendForgetCluster cluster(
       256, SendForgetConfig{.view_size = 16, .min_degree = 4});
   Rng graph_rng(7);
-  const Digraph g = permutation_regular(cluster.size(), 4, graph_rng);
-  for (NodeId u = 0; u < cluster.size(); ++u) {
-    cluster.install_view(u, g.out_neighbors(u));
-  }
+  cluster.install_graph(permutation_regular(cluster.size(), 4, graph_rng));
   sim::ShardedDriver driver(
       cluster,
       sim::ShardedDriverConfig{.shard_count = 1, .loss_rate = 0.0, .seed = 1});

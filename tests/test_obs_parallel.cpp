@@ -114,8 +114,7 @@ TEST(ObsParallel, ObservedShardedRunIsDeterministic) {
     const SendForgetConfig cfg = default_send_forget_config();
     Rng rng(7);
     FlatSendForgetCluster cluster(n, cfg);
-    const Digraph g = permutation_regular(n, cfg.min_degree, rng);
-    for (NodeId u = 0; u < n; ++u) cluster.install_view(u, g.out_neighbors(u));
+    cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
     sim::ShardedDriver driver(
         cluster, sim::ShardedDriverConfig{
                      .shard_count = 4, .loss_rate = 0.03, .seed = 77});
@@ -140,8 +139,7 @@ FlatSendForgetCluster regular_cluster(std::size_t n, std::uint64_t seed) {
   const SendForgetConfig cfg = default_send_forget_config();
   Rng rng(seed);
   FlatSendForgetCluster cluster(n, cfg);
-  const Digraph g = permutation_regular(n, cfg.min_degree, rng);
-  for (NodeId u = 0; u < n; ++u) cluster.install_view(u, g.out_neighbors(u));
+  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
   return cluster;
 }
 

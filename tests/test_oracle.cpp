@@ -262,8 +262,7 @@ ChurnRunResult churny_oracle_run(std::size_t n, std::size_t shards,
   const SendForgetConfig cfg = default_send_forget_config();
   FlatSendForgetCluster cluster(n, cfg);
   Rng graph_rng(seed * 3 + 1);
-  const Digraph g = permutation_regular(n, cfg.min_degree, graph_rng);
-  for (NodeId u = 0; u < n; ++u) cluster.install_view(u, g.out_neighbors(u));
+  cluster.install_graph(permutation_regular(n, cfg.min_degree, graph_rng));
 
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{

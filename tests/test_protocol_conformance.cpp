@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "core/baselines/newscast.hpp"
@@ -26,6 +27,13 @@ struct ProtocolUnderTest {
   std::string name;
   sim::Cluster::ProtocolFactory factory;
 };
+
+// gtest prints the parameter into every discovered test name. Without this
+// it dumps the object's bytes, heap pointers included, so the names would
+// change from one discovery to the next.
+void PrintTo(const ProtocolUnderTest& put, std::ostream* os) {
+  *os << put.name;
+}
 
 class ProtocolConformance
     : public ::testing::TestWithParam<ProtocolUnderTest> {};

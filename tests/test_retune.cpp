@@ -80,10 +80,7 @@ SpikeRunResult spike_run(Controller mode, std::uint64_t seed = 33,
   const SendForgetConfig cfg = default_send_forget_config();
   FlatSendForgetCluster cluster(kNodes, cfg);
   Rng graph_rng(seed * 5 + 3);
-  const Digraph g = permutation_regular(kNodes, cfg.min_degree, graph_rng);
-  for (NodeId u = 0; u < kNodes; ++u) {
-    cluster.install_view(u, g.out_neighbors(u));
-  }
+  cluster.install_graph(permutation_regular(kNodes, cfg.min_degree, graph_rng));
 
   sim::FaultSchedule schedule;
   sim::FaultPhase spike;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -21,10 +22,7 @@ namespace {
 void install_regular_topology(FlatSendForgetCluster& cluster, std::size_t k,
                               std::uint64_t graph_seed) {
   Rng rng(graph_seed);
-  const Digraph g = permutation_regular(cluster.size(), k, rng);
-  for (NodeId u = 0; u < cluster.size(); ++u) {
-    cluster.install_view(u, g.out_neighbors(u));
-  }
+  cluster.install_graph(permutation_regular(cluster.size(), k, rng));
 }
 
 // ---------------------------------------------------------------------------
@@ -126,6 +124,22 @@ TEST(FlatSendForget, ReviveBootstrapsMinDegreeLiveIds) {
     EXPECT_NE(id, 7u);
     EXPECT_TRUE(cluster.live(id));
   }
+}
+
+TEST(FlatSendForget, InstallGraphCopiesRowsAndRejectsSizeMismatch) {
+  FlatSendForgetCluster cluster(4, SendForgetConfig{.view_size = 8,
+                                                    .min_degree = 2});
+  Digraph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(0, 1);
+  g.add_edge(0, 3);
+  g.add_edge(2, 0);
+  cluster.install_graph(g);
+  EXPECT_EQ(cluster.view_ids(0), (std::vector<NodeId>{1, 1, 3}));
+  EXPECT_TRUE(cluster.view_ids(1).empty());
+  EXPECT_EQ(cluster.view_ids(2), (std::vector<NodeId>{0}));
+  EXPECT_EQ(cluster.degree(0), 3u);
+  EXPECT_THROW(cluster.install_graph(Digraph(5)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -260,10 +260,7 @@ BenchResult run_sharded(const ShardedLegSpec& leg,
     }
   } else {
     // dL-seeded like run_sequential: Obs 5.1 holds from round 0.
-    const Digraph g = permutation_regular(n, cfg.min_degree, rng);
-    for (NodeId u = 0; u < n; ++u) {
-      cluster.install_view(u, g.out_neighbors(u));
-    }
+    cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
   }
   sim::ShardedDriver driver(
       cluster,
@@ -828,12 +825,7 @@ ExportLeg run_export_leg(std::size_t n, std::size_t threads,
   const SendForgetConfig cfg = default_send_forget_config();
   Rng rng(7 + n);
   FlatSendForgetCluster cluster(n, cfg);
-  {
-    const Digraph g = permutation_regular(n, cfg.min_degree, rng);
-    for (NodeId u = 0; u < n; ++u) {
-      cluster.install_view(u, g.out_neighbors(u));
-    }
-  }
+  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
                    .shard_count = threads, .loss_rate = 0.02, .seed = 7 + n});
@@ -884,14 +876,9 @@ bool emit_telemetry_json(bool quick, const std::string& path) {
 
   Rng rng(7 + n);
   FlatSendForgetCluster cluster(n, cfg);
-  {
-    // dL-seeded (§6.5 join outdegree): Obs 5.1 holds from round 0 and the
-    // rate lemmas apply once the post-warmup window accumulates mass.
-    const Digraph g = permutation_regular(n, cfg.min_degree, rng);
-    for (NodeId u = 0; u < n; ++u) {
-      cluster.install_view(u, g.out_neighbors(u));
-    }
-  }
+  // dL-seeded (§6.5 join outdegree): Obs 5.1 holds from round 0 and the
+  // rate lemmas apply once the post-warmup window accumulates mass.
+  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
                    .shard_count = threads, .loss_rate = 0.02, .seed = 7 + n});
@@ -1118,13 +1105,8 @@ DriftRun run_drift(std::size_t n, std::size_t threads, std::size_t rounds,
   Rng rng(7 + n);
   const SendForgetConfig cfg = default_send_forget_config();
   FlatSendForgetCluster cluster(n, cfg);
-  {
-    // dL-seeded (§6.5 join outdegree), like every other sharded bench.
-    const Digraph g = permutation_regular(n, cfg.min_degree, rng);
-    for (NodeId u = 0; u < n; ++u) {
-      cluster.install_view(u, g.out_neighbors(u));
-    }
-  }
+  // dL-seeded (§6.5 join outdegree), like every other sharded bench.
+  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{.shard_count = threads,
                                         .loss_rate = sim_loss,
@@ -1366,13 +1348,8 @@ ChaosRun run_chaos(const ChaosSpec& spec) {
   Rng rng(7 + spec.n);
   const SendForgetConfig cfg = default_send_forget_config();
   FlatSendForgetCluster cluster(spec.n, cfg);
-  {
-    // dL-seeded (§6.5 join outdegree), like every other sharded bench.
-    const Digraph g = permutation_regular(spec.n, cfg.min_degree, rng);
-    for (NodeId u = 0; u < spec.n; ++u) {
-      cluster.install_view(u, g.out_neighbors(u));
-    }
-  }
+  // dL-seeded (§6.5 join outdegree), like every other sharded bench.
+  cluster.install_graph(permutation_regular(spec.n, cfg.min_degree, rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{.shard_count = spec.threads,
                                         .loss_rate = spec.loss,
@@ -1835,12 +1812,7 @@ ForensicsArtifacts run_forensics_leg(const ChaosSpec& spec,
   Rng rng(7 + spec.n);
   const SendForgetConfig cfg = default_send_forget_config();
   FlatSendForgetCluster cluster(spec.n, cfg);
-  {
-    const Digraph g = permutation_regular(spec.n, cfg.min_degree, rng);
-    for (NodeId u = 0; u < spec.n; ++u) {
-      cluster.install_view(u, g.out_neighbors(u));
-    }
-  }
+  cluster.install_graph(permutation_regular(spec.n, cfg.min_degree, rng));
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{.shard_count = spec.threads,
                                         .loss_rate = spec.loss,

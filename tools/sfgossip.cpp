@@ -140,10 +140,7 @@ int cmd_simulate_retune(const ArgParser& args) {
 
   FlatSendForgetCluster cluster(nodes, cfg);
   Rng graph_rng(seed * 3 + 1);
-  const Digraph g = permutation_regular(nodes, min_degree, graph_rng);
-  for (NodeId u = 0; u < nodes; ++u) {
-    cluster.install_view(u, g.out_neighbors(u));
-  }
+  cluster.install_graph(permutation_regular(nodes, min_degree, graph_rng));
 
   sim::FaultSchedule schedule;
   if (spike_rate > 0.0 && spike_begin < rounds) {
@@ -1027,10 +1024,7 @@ int cmd_chaos(const ArgParser& args) {
 
   FlatSendForgetCluster cluster(nodes, cfg);
   Rng graph_rng(seed * 3 + 1);
-  const Digraph g = permutation_regular(nodes, min_degree, graph_rng);
-  for (NodeId u = 0; u < nodes; ++u) {
-    cluster.install_view(u, g.out_neighbors(u));
-  }
+  cluster.install_graph(permutation_regular(nodes, min_degree, graph_rng));
 
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
@@ -1582,10 +1576,7 @@ int cmd_top(const ArgParser& args) {
   cfg.validate();
   FlatSendForgetCluster cluster(nodes, cfg);
   Rng graph_rng(seed * 3 + 1);
-  const Digraph g = permutation_regular(nodes, min_degree, graph_rng);
-  for (NodeId u = 0; u < nodes; ++u) {
-    cluster.install_view(u, g.out_neighbors(u));
-  }
+  cluster.install_graph(permutation_regular(nodes, min_degree, graph_rng));
 
   sim::ShardedDriver driver(
       cluster, sim::ShardedDriverConfig{
