@@ -73,4 +73,34 @@ class ChurnProcess {
   std::size_t leaves_ = 0;
 };
 
+// Runs `rounds` rounds on a round-synchronous driver (sharded or arena),
+// killing floor(fraction * n) distinct live nodes, drawn from the driver's
+// churn stream, between rounds kill_round - 1 and kill_round. Without a
+// kill (fraction 0, or kill_round past the run) it is one run_rounds call.
+// Returns the number of nodes killed.
+template <class Driver, class Nodes>
+std::size_t run_with_mass_kill(Driver& driver, const Nodes& cluster,
+                               std::uint64_t rounds, double fraction,
+                               std::uint64_t kill_round) {
+  if (fraction <= 0.0 || kill_round >= rounds) {
+    driver.run_rounds(rounds);
+    return 0;
+  }
+  driver.run_rounds(kill_round);
+  const std::size_t n = cluster.size();
+  const auto to_kill =
+      static_cast<std::size_t>(fraction * static_cast<double>(n));
+  Rng& rng = driver.churn_rng();
+  std::size_t killed = 0;
+  while (killed < to_kill) {
+    const auto victim = static_cast<NodeId>(rng.uniform(n));
+    if (cluster.live(victim)) {
+      driver.kill(victim);
+      ++killed;
+    }
+  }
+  driver.run_rounds(rounds - kill_round);
+  return killed;
+}
+
 }  // namespace gossip::sim

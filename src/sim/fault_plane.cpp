@@ -193,6 +193,9 @@ FaultPlane::FaultPlane(FaultSchedule schedule, std::size_t node_count,
   burst_r_.assign(schedule_.phases.size(), 0.0);
   for (std::size_t i = 0; i < schedule_.phases.size(); ++i) {
     const FaultPhase& ph = schedule_.phases[i];
+    if (ph.end <= ph.begin) {
+      throw std::invalid_argument("fault phase end must be > begin");
+    }
     switch (ph.kind) {
       case FaultKind::kPartition:
         if (ph.a_hi >= node_count_ || ph.b_hi >= node_count_) {

@@ -164,6 +164,30 @@ TEST(FaultPlaneCtor, ValidatesPhaseParameters) {
                std::invalid_argument);
 }
 
+// A schedule built in code skips the parser's end > begin check; the
+// plane enforces it itself, so an inverted or empty window cannot inject
+// nothing silently.
+TEST(FaultPlaneCtor, RejectsInvertedAndEmptyWindows) {
+  for (const std::uint64_t end : {100u, 200u}) {
+    SCOPED_TRACE(testing::Message() << "window [200, " << end << ")");
+    FaultSchedule schedule;
+    FaultPhase spike;
+    spike.kind = FaultKind::kLossSpike;
+    spike.begin = 200;
+    spike.end = end;
+    spike.rate = 0.12;
+    schedule.phases.push_back(spike);
+    EXPECT_THROW(FaultPlane(schedule, 50), std::invalid_argument);
+  }
+  FaultSchedule ok;
+  FaultPhase spike;
+  spike.begin = 200;
+  spike.end = 201;
+  spike.rate = 0.12;
+  ok.phases.push_back(spike);
+  EXPECT_NO_THROW(FaultPlane(ok, 50));
+}
+
 // ---------------------------------------------------------------------------
 // Per-kind drop semantics (plane probed directly).
 // ---------------------------------------------------------------------------

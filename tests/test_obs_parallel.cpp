@@ -24,6 +24,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/watchdog.hpp"
 #include "sim/fault_plane.hpp"
+#include "sim/run.hpp"
 #include "sim/sharded_driver.hpp"
 
 namespace gossip {
@@ -336,6 +337,28 @@ struct ChaosOutcome {
 // orders. In the reversed order the streamer comes first and its probes
 // are wired last, after every other attach call. `threads` = 0 runs one
 // worker per shard.
+// The chaos run's fault: a 6-round cut between the two halves of n ids.
+sim::FaultPhase chaos_cut(std::size_t n) {
+  sim::FaultPhase cut;
+  cut.kind = sim::FaultKind::kPartition;
+  cut.begin = 30;
+  cut.end = 36;
+  cut.a_lo = 0;
+  cut.a_hi = static_cast<NodeId>(n / 2 - 1);
+  cut.b_lo = static_cast<NodeId>(n / 2);
+  cut.b_hi = static_cast<NodeId>(n - 1);
+  cut.label = "split";
+  return cut;
+}
+
+obs::TheoryPrediction chaos_prediction() {
+  obs::TheoryPrediction prediction;
+  prediction.loss = 0.02;
+  prediction.delta = 0.01;
+  prediction.alpha_lower_bound = 1.0 - 2.0 * (0.02 + 0.01);
+  return prediction;
+}
+
 ChaosOutcome run_chaos_wiring(bool reversed, std::size_t shards = 2,
                               std::size_t threads = 0) {
   const std::size_t n = 2'000;
@@ -348,25 +371,12 @@ ChaosOutcome run_chaos_wiring(bool reversed, std::size_t shards = 2,
                                         .seed = 13});
 
   sim::FaultSchedule schedule;
-  sim::FaultPhase cut;
-  cut.kind = sim::FaultKind::kPartition;
-  cut.begin = 30;
-  cut.end = 36;
-  cut.a_lo = 0;
-  cut.a_hi = n / 2 - 1;
-  cut.b_lo = n / 2;
-  cut.b_hi = n - 1;
-  cut.label = "split";
+  const sim::FaultPhase cut = chaos_cut(n);
   schedule.phases.push_back(cut);
   const sim::FaultPlane plane(schedule, n, shards);
 
-  obs::TheoryPrediction prediction;
-  prediction.loss = 0.02;
-  prediction.delta = 0.01;
-  prediction.alpha_lower_bound = 1.0 - 2.0 * (0.02 + 0.01);
-  obs::TheoryOracle oracle(prediction,
-                           obs::OracleConfig{.warmup_rounds = 10,
-                                             .min_sent_for_rates = 1'000});
+  obs::TheoryOracle oracle(chaos_prediction(),
+                           obs::OracleConfig{.warmup_rounds = 10});
   oracle.declare_fault_window(cut.begin, cut.end, /*grace_rounds=*/10);
   obs::RecoveryTracker recovery(obs::RecoveryConfig{
       .min_degree = cfg.min_degree, .view_size = cfg.view_size,
@@ -465,6 +475,166 @@ TEST(ObsParallel, ChaosWiringIsIndependentOfThreadCount) {
     EXPECT_EQ(base.oracle_json, other.oracle_json);
     EXPECT_EQ(base.series_json, other.series_json);
   }
+}
+
+// run_chaos_wiring's run as a RunSpec.
+sim::RunSpec chaos_spec(std::size_t shards, std::size_t threads) {
+  sim::RunSpec spec;
+  spec.nodes = 2'000;
+  spec.graph_seed = 9;
+  spec.shards = shards;
+  spec.threads = threads;
+  spec.loss = 0.02;
+  spec.seed = 13;
+  spec.rounds = 60;
+  spec.faults.phases.push_back(chaos_cut(spec.nodes));
+  spec.grace = 10;
+  spec.stride = 5;
+  spec.series = true;
+  spec.prediction = chaos_prediction();
+  spec.oracle_warmup = 10;
+  spec.recovery = true;
+  spec.recovery_warmup = 10;
+  spec.recorder_capacity = 512;
+  spec.snapshot_stride = 5;
+  spec.keep_snapshots = true;
+  return spec;
+}
+
+ChaosOutcome run_chaos_pipeline(std::size_t shards, std::size_t threads) {
+  sim::FlatRun run(chaos_spec(shards, threads));
+  for (int i = 0; i < 8; ++i) {
+    run.streamer()->add_counter_probe(
+        "probe_" + std::to_string(i),
+        [&run] { return run.driver().rounds_completed(); });
+  }
+  run.run();
+
+  ChaosOutcome out;
+  out.fingerprint = run.cluster().fingerprint();
+  out.counters = run.driver().cumulative_counters();
+  std::ostringstream recovery_json;
+  run.recovery()->write_json(recovery_json);
+  out.recovery_json = recovery_json.str();
+  std::ostringstream oracle_json;
+  run.oracle()->write_json(oracle_json);
+  out.oracle_json = oracle_json.str();
+  std::ostringstream series_json;
+  run.series()->write_json(series_json);
+  run.series()->write_annotations_json(series_json);
+  out.series_json = series_json.str();
+  out.snapshots = run.snapshots();
+  return out;
+}
+
+void expect_same_counters(const obs::CumulativeCounters& a,
+                          const obs::CumulativeCounters& b) {
+  EXPECT_EQ(a.actions, b.actions);
+  EXPECT_EQ(a.self_loops, b.self_loops);
+  EXPECT_EQ(a.duplications, b.duplications);
+  EXPECT_EQ(a.deletions, b.deletions);
+  EXPECT_EQ(a.sent, b.sent);
+  EXPECT_EQ(a.lost, b.lost);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.to_dead, b.to_dead);
+  EXPECT_EQ(a.faulted, b.faulted);
+  EXPECT_EQ(a.ids_accepted, b.ids_accepted);
+}
+
+// The run pipeline builds the same run as the hand-wired chaos wiring:
+// same fingerprint, counters, snapshot bytes and observer JSON, at every
+// thread count over the same 4 shards.
+TEST(RunPipeline, FlatRunMatchesHandWiredChaosRun) {
+  for (const std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const ChaosOutcome wired = run_chaos_wiring(/*reversed=*/false, 4, threads);
+    const ChaosOutcome built = run_chaos_pipeline(4, threads);
+    EXPECT_GT(built.counters.faulted, 0u);
+    EXPECT_FALSE(built.snapshots.empty());
+    EXPECT_EQ(wired.fingerprint, built.fingerprint);
+    expect_same_counters(wired.counters, built.counters);
+    EXPECT_EQ(wired.snapshots, built.snapshots);
+    EXPECT_EQ(wired.recovery_json, built.recovery_json);
+    EXPECT_EQ(wired.oracle_json, built.oracle_json);
+    EXPECT_EQ(wired.series_json, built.series_json);
+  }
+}
+
+sim::RunSpec churn_spec() {
+  sim::RunSpec spec;
+  spec.nodes = 2'000;
+  spec.graph_seed = 5;
+  spec.shards = 4;
+  spec.loss = 0.02;
+  spec.seed = 21;
+  spec.rounds = 40;
+  return spec;
+}
+
+// Per-round churn: one random kill while more than n/2 are live, and a
+// revive of the last killed node with probability 1/2, every round.
+TEST(RunPipeline, PerRoundChurnMatchesHandWrittenLoop) {
+  sim::RunSpec spec = churn_spec();
+  spec.churn = true;
+  sim::FlatRun run(spec);
+  run.run();
+
+  FlatSendForgetCluster cluster = regular_cluster(spec.nodes, spec.graph_seed);
+  sim::ShardedDriver driver(
+      cluster, sim::ShardedDriverConfig{.shard_count = spec.shards,
+                                        .loss_rate = spec.loss,
+                                        .seed = spec.seed});
+  std::vector<NodeId> dead;
+  std::size_t events = 0;
+  for (std::size_t r = 0; r < spec.rounds; ++r) {
+    Rng& rng = driver.churn_rng();
+    const auto victim = static_cast<NodeId>(rng.uniform(spec.nodes));
+    if (cluster.live(victim) && cluster.live_count() > spec.nodes / 2) {
+      driver.kill(victim);
+      dead.push_back(victim);
+      ++events;
+    }
+    if (!dead.empty() && rng.bernoulli(0.5)) {
+      driver.revive(dead.back());
+      dead.pop_back();
+      ++events;
+    }
+    driver.run_rounds(1);
+  }
+  EXPECT_GT(events, spec.rounds);
+  EXPECT_EQ(run.churn_events(), events);
+  EXPECT_EQ(run.cluster().live_count(), cluster.live_count());
+  EXPECT_EQ(run.cluster().fingerprint(), cluster.fingerprint());
+}
+
+// Mass kill: 20% of the nodes, distinct and live, drawn from the churn
+// stream before round 15.
+TEST(RunPipeline, MassKillMatchesHandWrittenLoop) {
+  sim::RunSpec spec = churn_spec();
+  spec.kill_fraction = 0.2;
+  spec.kill_round = 15;
+  sim::FlatRun run(spec);
+  run.run();
+
+  FlatSendForgetCluster cluster = regular_cluster(spec.nodes, spec.graph_seed);
+  sim::ShardedDriver driver(
+      cluster, sim::ShardedDriverConfig{.shard_count = spec.shards,
+                                        .loss_rate = spec.loss,
+                                        .seed = spec.seed});
+  driver.run_rounds(spec.kill_round);
+  std::size_t killed = 0;
+  while (killed < spec.nodes / 5) {
+    const auto victim =
+        static_cast<NodeId>(driver.churn_rng().uniform(spec.nodes));
+    if (cluster.live(victim)) {
+      driver.kill(victim);
+      ++killed;
+    }
+  }
+  driver.run_rounds(spec.rounds - spec.kill_round);
+  EXPECT_EQ(run.killed(), killed);
+  EXPECT_EQ(run.cluster().live_count(), spec.nodes - killed);
+  EXPECT_EQ(run.cluster().fingerprint(), cluster.fingerprint());
 }
 
 }  // namespace

@@ -20,7 +20,8 @@
 //
 // Scale mode runs the simulation drivers (sequential RoundDriver vs the
 // sharded flat driver at several n / thread counts) and records
-// actions/sec and RSS. Runs with more shards than hardware threads are
+// actions/sec and RSS; each sharded leg also prints the overlay's health
+// on stdout (E22). Runs with more shards than hardware threads are
 // flagged "oversubscribed": their speedups measure scheduling overlap,
 // not parallel hardware, and must not be read as core-scaling numbers.
 //
@@ -56,6 +57,9 @@
 // the overlay must ride out without ending degraded, and an *undeclared*
 // loss spike under an attached TheoryOracle that must still trip the
 // DriftMonitor (the fault plane must not blunt drift detection).
+//
+// Every flat-engine leg of every mode is a sim::RunSpec run by sim::FlatRun
+// (src/sim/run.hpp), on the bench's seeds (graph and driver both 7 + n).
 //
 // Forensics mode runs three chaos legs with known injected causes, records
 // the full artifact set in memory (flight dump, snapshot stream, chaos
@@ -102,7 +106,7 @@
 #include "obs/forensics/run_archive.hpp"
 #include "obs/oracle/flight_recorder.hpp"
 #include "obs/oracle/theory_oracle.hpp"
-#include "obs/profiler.hpp"
+#include "obs/probe.hpp"
 #include "obs/recovery.hpp"
 #include "obs/solver_telemetry.hpp"
 #include "obs/timeseries.hpp"
@@ -113,7 +117,7 @@
 #include "sim/fault_plane.hpp"
 #include "sim/retune.hpp"
 #include "sim/round_driver.hpp"
-#include "sim/sharded_driver.hpp"
+#include "sim/run.hpp"
 
 #ifndef GOSSIP_GIT_DESCRIBE
 #define GOSSIP_GIT_DESCRIBE "unknown"
@@ -166,22 +170,39 @@ struct BenchResult {
   // The footprint gate for the 10M leg (<= 220 B/node in check_bench.py);
   // measured as a delta so earlier legs' allocator noise is excluded.
   double bytes_per_node = 0.0;
+  // The overlay's health at the end of a sharded leg (stdout only).
+  std::string health;
 };
 
-// One sharded-leg configuration. Logical shards are the determinism unit
+// A run on n nodes with the bench's seeds (graph and driver both 7 + n),
+// ℓ = 0.02 and the paper's running example, s = 40, dL = 18.
+sim::RunSpec bench_run(std::size_t n, std::size_t shards, std::size_t rounds) {
+  sim::RunSpec spec;
+  spec.nodes = n;
+  spec.shards = shards;
+  spec.rounds = rounds;
+  spec.loss = 0.02;
+  spec.seed = 7 + n;
+  spec.graph_seed = 7 + n;
+  return spec;
+}
+
+// One sharded scale leg: ~1 kill and ~1 revive per round, observed legs
+// sampled every 10 rounds. Logical shards are the determinism unit
 // (fingerprints depend on them); threads only decide how many workers
-// execute the shard blocks. Running many shards on one thread is the packed
-// engine's fast path: each shard's slab slice is small enough to stay
-// cache-resident through its initiate/drain phases, and cross-shard traffic
-// moves through the batch-frame mailboxes in destination-major runs.
-struct ShardedLegSpec {
-  std::size_t n = 0;
-  std::size_t shards = 1;
-  std::size_t threads = 1;
-  std::size_t rounds = 0;
-  std::size_t pairs = 1;     // §5 batched messages (2p ids per push)
-  bool cyclic_seed = false;  // install_slot circulant seeding (no Digraph)
-};
+// execute the shard blocks. Running many shards on one thread is the
+// packed engine's fast path: each shard's slab slice is small enough to
+// stay cache-resident through its initiate/drain phases, and cross-shard
+// traffic moves through the batch-frame mailboxes in destination-major
+// runs.
+sim::RunSpec scale_leg(std::size_t n, std::size_t shards, std::size_t threads,
+                       std::size_t rounds) {
+  sim::RunSpec spec = bench_run(n, shards, rounds);
+  spec.threads = threads;
+  spec.churn = true;
+  spec.stride = 10;
+  return spec;
+}
 
 BenchResult run_sequential(std::size_t n, std::size_t rounds) {
   Rng rng(7 + n);
@@ -234,100 +255,77 @@ BenchResult run_sequential(std::size_t n, std::size_t rounds) {
 // and amortizable by raising the stride.
 enum class ShardedMode { kNoopCounters, kBare, kRecorder, kObserved };
 
-BenchResult run_sharded(const ShardedLegSpec& leg,
+// The overlay's health after a leg (E22): live in-degree mean/sd, churn
+// events per round (kills + revives over 2 * rounds) and whether the live
+// overlay is weakly connected. The circulant (huge-n) legs report only
+// the out-degree mean, from a linear scan.
+std::string overlay_health(sim::FlatRun& run) {
+  const FlatSendForgetCluster& cluster = run.cluster();
+  const sim::RunSpec& spec = run.spec();
+  char buf[160];
+  if (spec.circulant) {
+    double mean = 0.0;
+    for (NodeId u = 0; u < cluster.size(); ++u) {
+      mean += static_cast<double>(cluster.degree(u));
+    }
+    std::snprintf(buf, sizeof(buf), "out-mean %.2f",
+                  mean / static_cast<double>(cluster.size()));
+    return buf;
+  }
+  obs::ProbeSlices slices;
+  const obs::FlatClusterProbe probe = slices.run(
+      obs::FlatViews(cluster), /*degrees=*/true, /*components=*/true);
+  std::snprintf(buf, sizeof(buf), "in-mean %.2f in-sd %.2f churn %zu%% conn %s",
+                probe.indegree.mean, probe.indegree.sd,
+                100 * run.churn_events() / (2 * spec.rounds),
+                probe.largest_component == probe.live_nodes ? "yes" : "NO");
+  return buf;
+}
+
+BenchResult run_sharded(sim::RunSpec spec,
                         ShardedMode mode = ShardedMode::kBare,
                         std::uint64_t actions_hint = 0) {
   const bool observed = mode == ShardedMode::kObserved;
-  const std::size_t n = leg.n;
+  spec.count_metrics = mode != ShardedMode::kNoopCounters;
+  spec.series = observed;
+  spec.watchdog = observed;
+  spec.profiler = observed;
+  // The recorder's cache-resident default ring.
+  spec.recorder_capacity = mode == ShardedMode::kRecorder ? 1u << 9 : 0;
   const double rss_before = rss_mib();
-  Rng rng(7 + n);
-  const SendForgetConfig cfg = default_send_forget_config();
-  FlatSendForgetCluster cluster(
-      n, cfg,
-      FlatClusterOptions{.pairs_per_message = leg.pairs,
-                         .init_threads = leg.threads});
-  if (leg.cyclic_seed) {
-    // Circulant seeding at dL: slot j of node u holds (u + j + 1) mod n.
-    // Each offset is a permutation of the id space, so the overlay starts
-    // dL-regular exactly like the permutation_regular seeding — but with no
-    // Digraph materialized, whose vector-of-vectors adjacency would dwarf
-    // the packed slab itself at n = 10^7.
-    for (NodeId u = 0; u < n; ++u) {
-      for (std::size_t j = 0; j < cfg.min_degree; ++j) {
-        cluster.install_slot(
-            u, j, static_cast<NodeId>((u + j + 1) % n));
-      }
-    }
-  } else {
-    // dL-seeded like run_sequential: Obs 5.1 holds from round 0.
-    cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
-  }
-  sim::ShardedDriver driver(
-      cluster,
-      sim::ShardedDriverConfig{
-          .shard_count = leg.shards,
-          .thread_count = leg.threads,
-          .loss_rate = 0.02,
-          .seed = 7 + n,
-          .count_metrics = mode != ShardedMode::kNoopCounters});
-  obs::RoundTimeSeries series(10);
-  obs::InvariantWatchdog watchdog(obs::WatchdogConfig{
-      .min_degree = cfg.min_degree, .view_size = cfg.view_size});
-  obs::PhaseProfiler profiler(leg.shards);
-  obs::FlightRecorder recorder(leg.shards);
-  if (observed) {
-    driver.attach_time_series(&series);
-    driver.attach_watchdog(&watchdog);
-    driver.attach_profiler(&profiler);
-  }
-  if (mode == ShardedMode::kRecorder) {
-    driver.attach_flight_recorder(&recorder);
-  }
-  std::vector<NodeId> dead;
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < leg.rounds; ++r) {
-    Rng& crng = driver.churn_rng();
-    const auto victim = static_cast<NodeId>(crng.uniform(n));
-    if (cluster.live(victim) && cluster.live_count() > n / 2) {
-      driver.kill(victim);
-      dead.push_back(victim);
-    }
-    if (!dead.empty() && crng.bernoulli(0.5)) {
-      driver.revive(dead.back());
-      dead.pop_back();
-    }
-    driver.run_rounds(1);
-  }
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  if (observed && watchdog.violation_count() > 0) {
-    std::fprintf(stderr, "%s", watchdog.report().c_str());
+  sim::FlatRun run(spec);
+  const double elapsed = run.run();
+  if (observed && run.watchdog()->violation_count() > 0) {
+    std::fprintf(stderr, "%s", run.watchdog()->report().c_str());
   }
   // The no-op run counts nothing; its twin bare run supplies the action
   // count (identical schedule).
   const std::uint64_t actions = mode == ShardedMode::kNoopCounters
                                     ? actions_hint
-                                    : driver.actions_executed();
+                                    : run.driver().actions_executed();
   std::string name = observed ? "sharded_flat_observed"
                      : mode == ShardedMode::kNoopCounters
                          ? "sharded_flat_noop_counters"
                      : mode == ShardedMode::kRecorder
                          ? "sharded_flat_recorder"
                          : "sharded_flat";
-  if (leg.pairs > 1) name += "_p" + std::to_string(leg.pairs);
+  if (spec.pairs_per_message > 1) {
+    name += "_p" + std::to_string(spec.pairs_per_message);
+  }
   const double rss_after = rss_mib();
-  BenchResult result{std::move(name),
+  const std::size_t n = spec.nodes;
+  return BenchResult{std::move(name),
                      n,
-                     leg.shards,
-                     leg.threads,
-                     leg.rounds,
+                     spec.shards,
+                     spec.threads,
+                     spec.rounds,
                      actions,
                      elapsed,
                      static_cast<double>(actions) / elapsed,
                      rss_after,
                      std::max(0.0, rss_after - rss_before) * 1024.0 * 1024.0 /
-                         static_cast<double>(n)};
-  return result;
+                         static_cast<double>(n),
+                     overlay_health(run)};
 }
 
 // Gate overheads measured by the paired/median protocol (see
@@ -822,45 +820,28 @@ struct ExportLeg {
 
 ExportLeg run_export_leg(std::size_t n, std::size_t threads,
                          std::size_t rounds, bool with_streamer) {
-  const SendForgetConfig cfg = default_send_forget_config();
-  Rng rng(7 + n);
-  FlatSendForgetCluster cluster(n, cfg);
-  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
-  sim::ShardedDriver driver(
-      cluster, sim::ShardedDriverConfig{
-                   .shard_count = threads, .loss_rate = 0.02, .seed = 7 + n});
-  driver.set_observation_stride(10);
-  obs::RoundTimeSeries series(10);
-  driver.attach_time_series(&series);
+  sim::RunSpec spec = bench_run(n, threads, rounds);
+  spec.stride = 10;
+  spec.series = true;
+  if (with_streamer) {
+    spec.snapshot_stride = 1;
+    spec.keep_snapshots = true;
+  }
+  sim::FlatRun run(spec);
+  const double seconds = run.run();
 
   ExportLeg leg;
-  std::ostringstream jsonl;
-  std::unique_ptr<obs::SnapshotStreamer> streamer;
-  if (with_streamer) {
-    streamer = std::make_unique<obs::SnapshotStreamer>(
-        driver.metrics_registry(), obs::ExportConfig{.snapshot_stride = 1});
-    streamer->add_sink(std::make_unique<obs::JsonlSnapshotSink>(jsonl));
-    streamer->add_sink(std::make_unique<obs::CallbackSnapshotSink>(
-        [&leg](const obs::RegistrySnapshot& snap) {
-          for (const obs::SnapshotHistogram& h : snap.histograms) {
-            if (h.name == "outdegree") leg.outdegree = h.quantiles;
-          }
-        }));
-    driver.attach_streamer(streamer.get());
-  }
-
-  const auto start = Clock::now();
-  driver.run_rounds(rounds);
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
   leg.actions_per_sec =
-      seconds > 0.0 ? static_cast<double>(driver.actions_executed()) / seconds
-                    : 0.0;
-  leg.fingerprint = cluster.fingerprint();
-  if (streamer) {
-    streamer->finish();
+      seconds > 0.0
+          ? static_cast<double>(run.driver().actions_executed()) / seconds
+          : 0.0;
+  leg.fingerprint = run.cluster().fingerprint();
+  if (const obs::SnapshotStreamer* streamer = run.streamer()) {
     leg.snapshots = streamer->snapshots_taken();
-    leg.jsonl_bytes = jsonl.str().size();
+    leg.jsonl_bytes = run.snapshots().size();
+    for (const obs::SnapshotHistogram& h : streamer->last().histograms) {
+      if (h.name == "outdegree") leg.outdegree = h.quantiles;
+    }
   }
   return leg;
 }
@@ -872,44 +853,22 @@ bool emit_telemetry_json(bool quick, const std::string& path) {
   // rate checks run against a steady-state window.
   const std::size_t rounds = quick ? 150 : 250;
   const std::uint64_t stride = 10;
-  const SendForgetConfig cfg = default_send_forget_config();
 
-  Rng rng(7 + n);
-  FlatSendForgetCluster cluster(n, cfg);
   // dL-seeded (§6.5 join outdegree): Obs 5.1 holds from round 0 and the
   // rate lemmas apply once the post-warmup window accumulates mass.
-  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
-  sim::ShardedDriver driver(
-      cluster, sim::ShardedDriverConfig{
-                   .shard_count = threads, .loss_rate = 0.02, .seed = 7 + n});
-  obs::RoundTimeSeries series(stride);
-  obs::InvariantWatchdog watchdog(obs::WatchdogConfig{
-      .min_degree = cfg.min_degree, .view_size = cfg.view_size});
-  obs::PhaseProfiler profiler(threads);
-  driver.attach_time_series(&series);
-  driver.attach_watchdog(&watchdog);
-  driver.attach_profiler(&profiler);
+  sim::RunSpec spec = bench_run(n, threads, rounds);
+  spec.churn = true;
+  spec.stride = stride;
+  spec.series = true;
+  spec.watchdog = true;
+  spec.profiler = true;
+  sim::FlatRun run(spec);
+  const obs::InvariantWatchdog& watchdog = *run.watchdog();
 
   std::printf("telemetry: sharded n=%zu threads=%zu rounds=%zu stride=%llu\n",
               n, threads, rounds, static_cast<unsigned long long>(stride));
-  std::vector<NodeId> dead;
-  const auto sim_start = Clock::now();
-  for (std::size_t r = 0; r < rounds; ++r) {
-    Rng& crng = driver.churn_rng();
-    const auto victim = static_cast<NodeId>(crng.uniform(n));
-    if (cluster.live(victim) && cluster.live_count() > n / 2) {
-      driver.kill(victim);
-      dead.push_back(victim);
-    }
-    if (!dead.empty() && crng.bernoulli(0.5)) {
-      driver.revive(dead.back());
-      dead.pop_back();
-    }
-    driver.run_rounds(1);
-  }
-  const double sim_seconds =
-      std::chrono::duration<double>(Clock::now() - sim_start).count();
-  std::printf("%s", profiler.report().c_str());
+  const double sim_seconds = run.run();
+  std::printf("%s", run.profiler()->report().c_str());
   std::printf("%s", watchdog.report().c_str());
 
   obs::RecordingSolverSink sink;
@@ -991,17 +950,18 @@ bool emit_telemetry_json(bool quick, const std::string& path) {
                 "\"loss\": 0.02, \"stride\": %llu, \"actions\": %llu, "
                 "\"seconds\": %.3f,\n",
                 n, threads, rounds, static_cast<unsigned long long>(stride),
-                static_cast<unsigned long long>(driver.actions_executed()),
+                static_cast<unsigned long long>(
+                    run.driver().actions_executed()),
                 sim_seconds);
   out << buf;
   out << "    \"series\": ";
-  series.write_json(out);
+  run.series()->write_json(out);
   out << ",\n    \"watchdog\": ";
   watchdog.write_json(out);
   out << ",\n    \"phases\": ";
-  profiler.write_json(out);
+  run.profiler()->write_json(out);
   out << ",\n    \"registry\": ";
-  driver.metrics_registry().write_json(out);
+  run.driver().metrics_registry().write_json(out);
   out << "\n  },\n";
 
   std::snprintf(
@@ -1102,39 +1062,18 @@ DriftRun run_drift(std::size_t n, std::size_t threads, std::size_t rounds,
   run.rounds = rounds;
   run.sim_loss = sim_loss;
 
-  Rng rng(7 + n);
-  const SendForgetConfig cfg = default_send_forget_config();
-  FlatSendForgetCluster cluster(n, cfg);
-  // dL-seeded (§6.5 join outdegree), like every other sharded bench.
-  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
-  sim::ShardedDriver driver(
-      cluster, sim::ShardedDriverConfig{.shard_count = threads,
-                                        .loss_rate = sim_loss,
-                                        .seed = 7 + n});
-  obs::TheoryOracle oracle(pred);
-  obs::FlightRecorder recorder(threads);
-  driver.attach_oracle(&oracle);
-  driver.attach_flight_recorder(&recorder);
-  driver.set_observation_stride(10);
-  oracle.arm_flight_dump(&recorder, dump_path);
+  sim::RunSpec spec = bench_run(n, threads, rounds);
+  spec.loss = sim_loss;
+  spec.churn = true;
+  spec.stride = 10;
+  spec.prediction = pred;
+  spec.recorder_capacity = 1u << 9;
+  sim::FlatRun flat(spec);
+  const obs::TheoryOracle& oracle = *flat.oracle();
+  flat.oracle()->arm_flight_dump(flat.recorder(), dump_path);
 
-  std::vector<NodeId> dead;
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < rounds; ++r) {
-    Rng& crng = driver.churn_rng();
-    const auto victim = static_cast<NodeId>(crng.uniform(n));
-    if (cluster.live(victim) && cluster.live_count() > n / 2) {
-      driver.kill(victim);
-      dead.push_back(victim);
-    }
-    if (!dead.empty() && crng.bernoulli(0.5)) {
-      driver.revive(dead.back());
-      dead.pop_back();
-    }
-    driver.run_rounds(1);
-  }
-  run.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  run.actions = driver.actions_executed();
+  run.seconds = flat.run();
+  run.actions = flat.driver().actions_executed();
   run.probes = oracle.probes();
   run.warns = oracle.monitor().warn_transitions();
   run.violations = oracle.monitor().violation_transitions();
@@ -1221,11 +1160,9 @@ void emit_drift_run(std::ofstream& out, const char* key, const DriftRun& r,
 bool emit_drift_json(bool quick, const std::string& path) {
   // Predictions at the paper's running example (s=40, dL=18) and ℓ = 0.02
   // — the same configuration every sharded bench simulates.
-  analysis::DegreeMcParams dp;
-  dp.view_size = default_send_forget_config().view_size;
-  dp.min_degree = default_send_forget_config().min_degree;
-  dp.loss = 0.02;
-  const obs::TheoryPrediction pred = analysis::make_theory_prediction(dp);
+  const obs::TheoryPrediction pred = sim::theory_prediction(
+      default_send_forget_config(), 0.02,
+      analysis::PredictionSource::kExactMc);
 
   // The clean leg needs to clear the oracle's 400-round statistical warmup
   // with enough post-warmup probes for the streaming checks.
@@ -1301,29 +1238,64 @@ bool emit_drift_json(bool quick, const std::string& path) {
 // ~0.05–0.07/round, so the partition leg measures ~140 recovery rounds —
 // budgets below carry ~2x headroom over that, not tuned to the seed.
 
-struct ChaosSpec {
-  std::size_t n = 0;
-  std::size_t threads = 4;
-  std::size_t rounds = 0;
-  double loss = 0.01;
-  sim::FaultSchedule schedule;  // may be empty (mass-kill leg)
-  double kill_fraction = 0.0;   // fraction of nodes killed at kill_round
-  std::uint64_t kill_round = 0;
-  // Absolute degree floor handed to the RecoveryTracker (0 = disabled).
-  // Nonzero only on legs probing the boiling-frog regime, so every other
-  // leg's episodes — and the committed chaos gates — are untouched.
-  double degree_floor_fraction = 0.0;
-  bool declare = true;          // declare windows to the tracker (and oracle)
-  bool with_oracle = false;
-  // Attach the §6.3 retune controller (requires with_oracle). The oracle
-  // prediction and the controller's candidate solves both go through the
-  // mean-field fast path — the whole point of retuning live.
-  bool with_retune = false;
-  std::size_t oracle_warmup = 0;  // 0 = the oracle's default
-};
+// A chaos leg: the bench's seeds on 4 shards at ℓ = 0.01, recovery
+// tracked, observed every 5 rounds.
+sim::RunSpec chaos_leg(std::size_t n, std::size_t rounds) {
+  sim::RunSpec spec = bench_run(n, 4, rounds);
+  spec.loss = 0.01;
+  spec.stride = 5;
+  spec.recovery = true;
+  return spec;
+}
+
+// The fault shapes the chaos, forensics and arena legs share. Every window
+// begins at round 150 or later, so the recovery tracker pins its calm
+// baseline on 50 post-warmup probes before the overlay is pushed out of
+// band.
+//
+// A symmetric 20-round cut between the id space's two halves. Short on
+// purpose: S&F has no discovery, so a cut held past cross-edge washout
+// (~4-round half-life) can never re-merge.
+sim::FaultPhase half_split(std::size_t n) {
+  sim::FaultPhase cut;
+  cut.kind = sim::FaultKind::kPartition;
+  cut.begin = 150;
+  cut.end = 170;
+  cut.a_lo = 0;
+  cut.a_hi = static_cast<NodeId>(n / 2 - 1);
+  cut.b_lo = static_cast<NodeId>(n / 2);
+  cut.b_hi = static_cast<NodeId>(n - 1);
+  cut.label = "split";
+  return cut;
+}
+
+// 40 rounds of Gilbert-Elliott bursts (50% average loss, mean burst
+// length 8) for senders in region 1 of 4 (the schedule sets regions).
+sim::FaultPhase rack_burst() {
+  sim::FaultPhase burst;
+  burst.kind = sim::FaultKind::kBurst;
+  burst.begin = 150;
+  burst.end = 190;
+  burst.region = 1;
+  burst.rate = 0.5;
+  burst.burst_len = 8.0;
+  burst.label = "rack-burst";
+  return burst;
+}
+
+sim::FaultPhase loss_spike(std::uint64_t begin, std::uint64_t end,
+                           double rate, const char* label) {
+  sim::FaultPhase spike;
+  spike.kind = sim::FaultKind::kLossSpike;
+  spike.begin = begin;
+  spike.end = end;
+  spike.rate = rate;
+  spike.label = label;
+  return spike;
+}
 
 struct ChaosRun {
-  ChaosSpec spec;
+  sim::RunSpec spec;
   double seconds = 0.0;
   std::uint64_t actions = 0;
   std::uint64_t sent = 0;
@@ -1341,107 +1313,21 @@ struct ChaosRun {
   double loss_estimate = 0.0;
 };
 
-ChaosRun run_chaos(const ChaosSpec& spec) {
+ChaosRun run_chaos(const sim::RunSpec& spec) {
   ChaosRun run;
   run.spec = spec;
-
-  Rng rng(7 + spec.n);
-  const SendForgetConfig cfg = default_send_forget_config();
-  FlatSendForgetCluster cluster(spec.n, cfg);
-  // dL-seeded (§6.5 join outdegree), like every other sharded bench.
-  cluster.install_graph(permutation_regular(spec.n, cfg.min_degree, rng));
-  sim::ShardedDriver driver(
-      cluster, sim::ShardedDriverConfig{.shard_count = spec.threads,
-                                        .loss_rate = spec.loss,
-                                        .seed = 7 + spec.n});
-  const sim::FaultPlane plane(spec.schedule, spec.n, spec.threads);
-  obs::RecoveryTracker tracker(obs::RecoveryConfig{
-      .min_degree = cfg.min_degree,
-      .view_size = cfg.view_size,
-      .degree_floor_fraction = spec.degree_floor_fraction});
-  if (spec.declare) {
-    for (const sim::FaultPhase& p : spec.schedule.phases) {
-      tracker.declare_window(p.begin, p.end, p.label);
-    }
-    if (spec.kill_fraction > 0.0) {
-      // The fault window spans the to-dead washout transient (~4-round
-      // half-life), not just the kill instant: the degree dip only shows
-      // up once the dead references start washing out, and a window healed
-      // before the dip arrives would close as a false "recovered".
-      tracker.declare_window(spec.kill_round, spec.kill_round + 20,
-                             "mass-kill");
-    }
-  }
-  std::unique_ptr<obs::TheoryOracle> oracle;
-  std::unique_ptr<sim::RetuneController> retune;
-  if (spec.with_oracle) {
-    // Retune legs prime through the mean-field fast path (the controller
-    // re-solves live at candidate dL values); plain oracle legs keep the
-    // exact solver. Both are served from the prediction cache.
-    const auto source = spec.with_retune
-                            ? analysis::PredictionSource::kMeanField
-                            : analysis::PredictionSource::kExactMc;
-    analysis::DegreeMcParams dp;
-    dp.view_size = cfg.view_size;
-    dp.min_degree = cfg.min_degree;
-    dp.loss = spec.loss;
-    obs::OracleConfig ocfg;
-    if (spec.oracle_warmup > 0) ocfg.warmup_rounds = spec.oracle_warmup;
-    oracle = std::make_unique<obs::TheoryOracle>(
-        analysis::make_theory_prediction(dp, /*delta=*/0.01, source), ocfg);
-    if (spec.declare) {
-      for (const sim::FaultPhase& p : spec.schedule.phases) {
-        oracle->declare_fault_window(p.begin, p.end, /*grace_rounds=*/40);
-      }
-    }
-    driver.attach_oracle(oracle.get());
-    if (spec.with_retune) {
-      retune = std::make_unique<sim::RetuneController>(
-          sim::RetuneConfig{},
-          [](std::size_t s, std::size_t dl, double loss, double delta) {
-            analysis::DegreeMcParams p;
-            p.view_size = s;
-            p.min_degree = dl;
-            p.loss = loss;
-            return analysis::make_theory_prediction(
-                p, delta, analysis::PredictionSource::kMeanField);
-          },
-          [&cluster](std::size_t dl) { cluster.set_min_degree(dl); });
-      retune->bind_oracle(oracle.get());
-      driver.attach_retune(retune.get());
-    }
-  }
-  if (!spec.schedule.empty()) driver.attach_fault_plane(&plane);
-  driver.attach_recovery(&tracker);
-  driver.set_observation_stride(5);
-
-  const auto start = Clock::now();
-  if (spec.kill_fraction > 0.0) {
-    driver.run_rounds(spec.kill_round);
-    const auto to_kill =
-        static_cast<std::size_t>(spec.kill_fraction *
-                                 static_cast<double>(spec.n));
-    Rng& crng = driver.churn_rng();
-    while (run.killed < to_kill) {
-      const auto victim = static_cast<NodeId>(crng.uniform(spec.n));
-      if (cluster.live(victim)) {
-        driver.kill(victim);
-        ++run.killed;
-      }
-    }
-    driver.run_rounds(spec.rounds - spec.kill_round);
-  } else {
-    driver.run_rounds(spec.rounds);
-  }
-  run.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  run.actions = driver.actions_executed();
-  run.sent = driver.network_metrics().sent;
-  run.faulted = driver.network_metrics().faulted;
+  sim::FlatRun flat(spec);
+  run.seconds = flat.run();
+  run.actions = flat.driver().actions_executed();
+  run.sent = flat.driver().network_metrics().sent;
+  run.faulted = flat.driver().network_metrics().faulted;
+  run.killed = flat.killed();
+  const obs::RecoveryTracker& tracker = *flat.recovery();
   run.episodes = tracker.episodes();
   run.unrecovered = tracker.unrecovered();
   run.final_lanes = tracker.degraded_lanes();
   run.component_fraction = tracker.component_fraction();
-  if (oracle != nullptr) {
+  if (const obs::TheoryOracle* oracle = flat.oracle()) {
     run.warns = oracle->monitor().warn_transitions();
     run.violations = oracle->monitor().violation_transitions();
     run.degree_in_band =
@@ -1450,9 +1336,9 @@ ChaosRun run_chaos(const ChaosSpec& spec) {
         oracle->monitor().state(obs::DriftCheck::kDegreeIn) ==
             obs::DriftState::kOk;
   }
-  if (retune != nullptr) {
+  if (const sim::RetuneController* retune = flat.retune()) {
     run.retunes = retune->retunes_applied();
-    run.installed_min_degree = cluster.config().min_degree;
+    run.installed_min_degree = flat.cluster().config().min_degree;
     run.loss_estimate = retune->last_loss_estimate();
     std::printf("%s", retune->report().c_str());
   }
@@ -1488,13 +1374,13 @@ void emit_chaos_run(std::ofstream& out, const char* key, const ChaosRun& r) {
       "\"faulted\": %llu, \"killed\": %zu,\n"
       "    \"unrecovered\": %zu, \"final_degraded_lanes\": %u, "
       "\"component_fraction\": %.4f,\n",
-      key, r.spec.n, r.spec.threads, r.spec.rounds, r.spec.loss, r.seconds,
+      key, r.spec.nodes, r.spec.shards, r.spec.rounds, r.spec.loss, r.seconds,
       static_cast<unsigned long long>(r.actions),
       static_cast<unsigned long long>(r.sent),
       static_cast<unsigned long long>(r.faulted), r.killed, r.unrecovered,
       r.final_lanes, r.component_fraction);
   out << buf;
-  if (r.spec.with_oracle) {
+  if (r.spec.prediction) {
     std::snprintf(buf, sizeof(buf),
                   "    \"warn_transitions\": %llu, "
                   "\"violation_transitions\": %llu, "
@@ -1504,7 +1390,7 @@ void emit_chaos_run(std::ofstream& out, const char* key, const ChaosRun& r) {
                   r.degree_in_band ? "true" : "false");
     out << buf;
   }
-  if (r.spec.with_retune) {
+  if (r.spec.retune) {
     std::snprintf(buf, sizeof(buf),
                   "    \"retunes_applied\": %zu, "
                   "\"installed_min_degree\": %zu, "
@@ -1547,7 +1433,6 @@ bool emit_chaos_json(bool quick, const std::string& path) {
   // Recovery budgets are round counts and mean-field (n-independent), so
   // quick mode only shrinks n; the fault windows and budgets stay fixed.
   const std::size_t n = quick ? 2'000 : 4'000;
-  const std::size_t threads = 4;
   // Measured at n=4000: partition 90, mass kill ~205, burst 50 recovery
   // rounds; budgets carry ~2x headroom so they bound regressions without
   // being tuned to one seed.
@@ -1555,75 +1440,34 @@ bool emit_chaos_json(bool quick, const std::string& path) {
   constexpr std::uint64_t kMassKillBudget = 360;
   constexpr std::uint64_t kBurstBudget = 150;
 
-  // Leg 1: symmetric 20-round partition of the id space's two halves.
-  // Short on purpose — S&F has no discovery, so a cut held past cross-edge
-  // washout (~4-round half-life) can never re-merge.
-  ChaosSpec partition;
-  partition.n = n;
-  partition.threads = threads;
-  partition.rounds = 480;
-  {
-    sim::FaultPhase cut;
-    cut.kind = sim::FaultKind::kPartition;
-    cut.begin = 150;
-    cut.end = 170;
-    cut.a_lo = 0;
-    cut.a_hi = static_cast<NodeId>(n / 2 - 1);
-    cut.b_lo = static_cast<NodeId>(n / 2);
-    cut.b_hi = static_cast<NodeId>(n - 1);
-    cut.label = "split";
-    partition.schedule.phases.push_back(cut);
-  }
+  // Leg 1: the symmetric 20-round partition.
+  sim::RunSpec partition = chaos_leg(n, 480);
+  partition.faults.phases.push_back(half_split(n));
 
   // Leg 2: kill 20% of the cluster at round 150, no fault plane — the
   // recovery tracker must see the to-dead loss transient and measure the
   // overlay's climb back into band.
-  ChaosSpec mass;
-  mass.n = n;
-  mass.threads = threads;
-  mass.rounds = 520;
+  sim::RunSpec mass = chaos_leg(n, 520);
   mass.kill_fraction = 0.20;
   mass.kill_round = 150;
 
-  // Leg 3: 40 rounds of Gilbert-Elliott bursts (50% average loss, mean
-  // burst length 8) for senders in one of four regions. Gate: the overlay
-  // rides it out — nothing left degraded at the end of the run.
-  ChaosSpec burst;
-  burst.n = n;
-  burst.threads = threads;
-  burst.rounds = 420;
-  burst.schedule.regions = 4;
-  {
-    sim::FaultPhase b;
-    b.kind = sim::FaultKind::kBurst;
-    b.begin = 150;
-    b.end = 190;
-    b.region = 1;
-    b.rate = 0.5;
-    b.burst_len = 8.0;
-    b.label = "rack-burst";
-    burst.schedule.phases.push_back(b);
-  }
+  // Leg 3: the regional burst. Gate: the overlay rides it out — nothing
+  // left degraded at the end of the run.
+  sim::RunSpec burst = chaos_leg(n, 420);
+  burst.faults.regions = 4;
+  burst.faults.phases.push_back(rack_burst());
 
   // Leg 4: a loss spike the oracle was NOT told about, landing after its
   // 400-round statistical warmup. The fault plane must not blunt drift
   // detection: the DriftMonitor has to trip, and the tracker has to open
   // an undeclared episode.
-  ChaosSpec spike;
-  spike.n = n;
-  spike.threads = threads;
-  spike.rounds = 520;
-  spike.declare = false;
-  spike.with_oracle = true;
-  {
-    sim::FaultPhase s;
-    s.kind = sim::FaultKind::kLossSpike;
-    s.begin = 440;
-    s.end = 480;
-    s.rate = 0.15;
-    s.label = "undeclared-spike";
-    spike.schedule.phases.push_back(s);
-  }
+  const obs::TheoryPrediction exact = sim::theory_prediction(
+      default_send_forget_config(), 0.01,
+      analysis::PredictionSource::kExactMc);
+  sim::RunSpec spike = chaos_leg(n, 520);
+  spike.declare_faults = false;
+  spike.prediction = exact;
+  spike.faults.phases.push_back(loss_spike(440, 480, 0.15, "undeclared-spike"));
 
   // Legs 5 and 6: a sustained 12% loss spike from round 400 to the end of
   // the run — far too long to ride out. Unattended (loss_retune_off) the
@@ -1632,26 +1476,19 @@ bool emit_chaos_json(bool quick, const std::string& path) {
   // at least one applied retune, and the degree lanes back in band. The
   // oracle warms up 300 rounds (enough for the regular seed topology to
   // mix into the ℓ-stationary distribution) so the monitor judges the
-  // spike, not the warm-in transient.
-  ChaosSpec retune_on;
-  retune_on.n = n;
-  retune_on.threads = threads;
-  retune_on.rounds = 1200;
-  retune_on.declare = false;
-  retune_on.with_oracle = true;
-  retune_on.with_retune = true;
-  retune_on.oracle_warmup = 300;
-  {
-    sim::FaultPhase s;
-    s.kind = sim::FaultKind::kLossSpike;
-    s.begin = 400;
-    s.end = retune_on.rounds + 1;
-    s.rate = 0.12;
-    s.label = "sustained-spike";
-    retune_on.schedule.phases.push_back(s);
-  }
-  ChaosSpec retune_off = retune_on;
-  retune_off.with_retune = false;
+  // spike, not the warm-in transient. The retune leg's oracle is primed
+  // through the mean-field fast path, which its controller re-solves live.
+  sim::RunSpec retune_off = chaos_leg(n, 1200);
+  retune_off.declare_faults = false;
+  retune_off.prediction = exact;
+  retune_off.oracle_warmup = 300;
+  retune_off.faults.phases.push_back(
+      loss_spike(400, retune_off.rounds + 1, 0.12, "sustained-spike"));
+  sim::RunSpec retune_on = retune_off;
+  retune_on.prediction = sim::theory_prediction(
+      default_send_forget_config(), 0.01,
+      analysis::PredictionSource::kMeanField);
+  retune_on.retune = true;
 
   std::printf("chaos: partition leg n=%zu rounds=%zu cut=[150,170)\n", n,
               partition.rounds);
@@ -1805,93 +1642,25 @@ struct ForensicsArtifacts {
   double run_seconds = 0.0;
 };
 
-ForensicsArtifacts run_forensics_leg(const ChaosSpec& spec,
+ForensicsArtifacts run_forensics_leg(sim::RunSpec spec,
                                      const char* scenario_label) {
+  spec.recorder_capacity = 1u << 12;
+  spec.snapshot_stride = 5;
+  spec.keep_snapshots = true;
+  sim::FlatRun run(spec);
   ForensicsArtifacts artifacts;
-
-  Rng rng(7 + spec.n);
-  const SendForgetConfig cfg = default_send_forget_config();
-  FlatSendForgetCluster cluster(spec.n, cfg);
-  cluster.install_graph(permutation_regular(spec.n, cfg.min_degree, rng));
-  sim::ShardedDriver driver(
-      cluster, sim::ShardedDriverConfig{.shard_count = spec.threads,
-                                        .loss_rate = spec.loss,
-                                        .seed = 7 + spec.n});
-  const sim::FaultPlane plane(spec.schedule, spec.n, spec.threads);
-  obs::RecoveryTracker tracker(obs::RecoveryConfig{
-      .min_degree = cfg.min_degree,
-      .view_size = cfg.view_size,
-      .degree_floor_fraction = spec.degree_floor_fraction});
-  if (spec.declare) {
-    for (const sim::FaultPhase& p : spec.schedule.phases) {
-      tracker.declare_window(p.begin, p.end, p.label);
-    }
-  }
-  std::unique_ptr<obs::TheoryOracle> oracle;
-  if (spec.with_oracle) {
-    analysis::DegreeMcParams dp;
-    dp.view_size = cfg.view_size;
-    dp.min_degree = cfg.min_degree;
-    dp.loss = spec.loss;
-    obs::OracleConfig ocfg;
-    if (spec.oracle_warmup > 0) ocfg.warmup_rounds = spec.oracle_warmup;
-    oracle = std::make_unique<obs::TheoryOracle>(
-        analysis::make_theory_prediction(dp, /*delta=*/0.01,
-                                         analysis::PredictionSource::kExactMc),
-        ocfg);
-    if (spec.declare) {
-      for (const sim::FaultPhase& p : spec.schedule.phases) {
-        oracle->declare_fault_window(p.begin, p.end, /*grace_rounds=*/40);
-      }
-    }
-    driver.attach_oracle(oracle.get());
-  }
-  if (!spec.schedule.empty()) driver.attach_fault_plane(&plane);
-  obs::FlightRecorder recorder(spec.threads, /*capacity=*/1u << 12);
-  driver.attach_flight_recorder(&recorder);
-  driver.attach_recovery(&tracker);
-  driver.set_observation_stride(5);
-
-  std::ostringstream snapshot_stream;
-  obs::ExportConfig ecfg;
-  ecfg.snapshot_stride = 5;
-  obs::SnapshotStreamer streamer(driver.metrics_registry(), ecfg);
-  streamer.add_sink(
-      std::make_unique<obs::JsonlSnapshotSink>(snapshot_stream));
-  driver.attach_streamer(&streamer);
-
-  const auto start = Clock::now();
-  if (spec.kill_fraction > 0.0) {
-    driver.run_rounds(spec.kill_round);
-    const auto to_kill = static_cast<std::size_t>(
-        spec.kill_fraction * static_cast<double>(spec.n));
-    Rng& crng = driver.churn_rng();
-    std::size_t killed = 0;
-    while (killed < to_kill) {
-      const auto victim = static_cast<NodeId>(crng.uniform(spec.n));
-      if (cluster.live(victim)) {
-        driver.kill(victim);
-        ++killed;
-      }
-    }
-    driver.run_rounds(spec.rounds - spec.kill_round);
-  } else {
-    driver.run_rounds(spec.rounds);
-  }
-  artifacts.run_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  streamer.finish();
+  artifacts.run_seconds = run.run();
 
   std::ostringstream trace_stream;
-  recorder.dump(trace_stream);
+  run.recorder()->dump(trace_stream);
   artifacts.trace = trace_stream.str();
-  artifacts.snapshots = snapshot_stream.str();
+  artifacts.snapshots = run.snapshots();
 
   std::ostringstream chaos_stream;
   chaos_stream << "{\"scenario\": \"" << scenario_label
                << "\", \"recovery\": ";
-  tracker.write_json(chaos_stream);
-  if (oracle != nullptr) {
+  run.recovery()->write_json(chaos_stream);
+  if (const obs::TheoryOracle* oracle = run.oracle()) {
     chaos_stream << ", \"oracle\": ";
     oracle->write_json(chaos_stream);
   }
@@ -1959,29 +1728,14 @@ ForensicsAnalysis analyze_forensics(const ForensicsArtifacts& artifacts,
 
 bool emit_forensics_json(bool quick, const std::string& path) {
   const std::size_t n = quick ? 2'000 : 4'000;
-  const std::size_t threads = 4;
   // The whole load→index→attribute→render path on one leg's artifacts.
   // Measured ~0.1 s; the budget bounds regressions, not the mean.
   constexpr double kAnalyzeBudgetSeconds = 10.0;
 
   // Leg 1: the declared partition from the chaos suite — every incident
   // must come back declared-fault.
-  ChaosSpec partition;
-  partition.n = n;
-  partition.threads = threads;
-  partition.rounds = 480;
-  {
-    sim::FaultPhase cut;
-    cut.kind = sim::FaultKind::kPartition;
-    cut.begin = 150;
-    cut.end = 170;
-    cut.a_lo = 0;
-    cut.a_hi = static_cast<NodeId>(n / 2 - 1);
-    cut.b_lo = static_cast<NodeId>(n / 2);
-    cut.b_hi = static_cast<NodeId>(n - 1);
-    cut.label = "split";
-    partition.schedule.phases.push_back(cut);
-  }
+  sim::RunSpec partition = chaos_leg(n, 480);
+  partition.faults.phases.push_back(half_split(n));
 
   // Leg 2: an *undeclared* 20% mass kill — the tracker opens an undeclared
   // episode and the attributor must pin it on churn (kill flight events
@@ -1992,13 +1746,10 @@ bool emit_forensics_json(bool quick, const std::string& path) {
   // signal never trips. The absolute degree floor (pinned at the first calm
   // baseline) is what opens the episode here — this leg is its end-to-end
   // regression: drop the floor and the leg fails with zero incidents.
-  ChaosSpec mass;
-  mass.n = n;
-  mass.threads = threads;
-  mass.rounds = 520;
+  sim::RunSpec mass = chaos_leg(n, 520);
   mass.kill_fraction = 0.20;
   mass.kill_round = 150;
-  mass.declare = false;
+  mass.declare_faults = false;
   // The floor is pinned at the FIRST post-warmup probe (~25.0 mean, while
   // the overlay is still climbing off its dL-regular install), not at the
   // higher settled mean; the 20% kill bottoms out near 22.7-22.9. 0.93
@@ -2008,22 +1759,12 @@ bool emit_forensics_json(bool quick, const std::string& path) {
 
   // Leg 3: an *undeclared* loss spike after the oracle's statistical
   // warmup — drift violations plus the mirrored episode, all loss-drift.
-  ChaosSpec spike;
-  spike.n = n;
-  spike.threads = threads;
-  spike.rounds = 520;
-  spike.declare = false;
-  spike.with_oracle = true;
-  spike.oracle_warmup = 400;
-  {
-    sim::FaultPhase s;
-    s.kind = sim::FaultKind::kLossSpike;
-    s.begin = 440;
-    s.end = 480;
-    s.rate = 0.15;
-    s.label = "undeclared-spike";
-    spike.schedule.phases.push_back(s);
-  }
+  sim::RunSpec spike = chaos_leg(n, 520);
+  spike.declare_faults = false;
+  spike.prediction = sim::theory_prediction(
+      default_send_forget_config(), 0.01,
+      analysis::PredictionSource::kExactMc);
+  spike.faults.phases.push_back(loss_spike(440, 480, 0.15, "undeclared-spike"));
 
   std::printf("forensics: declared-partition leg n=%zu rounds=%zu\n", n,
               partition.rounds);
@@ -2065,7 +1806,7 @@ bool emit_forensics_json(bool quick, const std::string& path) {
                 kAnalyzeBudgetSeconds);
   out << buf;
   const auto emit_leg = [&out, &buf, n](const char* key,
-                                        const ChaosSpec& spec,
+                                        const sim::RunSpec& spec,
                                         const ForensicsArtifacts& art,
                                         const ForensicsAnalysis& a,
                                         const char* expected) {
@@ -2258,22 +1999,8 @@ ArenaRun run_arena_once(const ArenaSpec& spec) {
   }
 
   const auto start = Clock::now();
-  if (spec.kill_fraction > 0.0) {
-    driver.run_rounds(spec.kill_round);
-    const auto to_kill = static_cast<std::size_t>(
-        spec.kill_fraction * static_cast<double>(spec.n));
-    Rng& crng = driver.churn_rng();
-    while (run.killed < to_kill) {
-      const auto victim = static_cast<NodeId>(crng.uniform(spec.n));
-      if (cluster.live(victim)) {
-        driver.kill(victim);
-        ++run.killed;
-      }
-    }
-    driver.run_rounds(spec.rounds - spec.kill_round);
-  } else {
-    driver.run_rounds(spec.rounds);
-  }
+  run.killed = sim::run_with_mass_kill(driver, cluster, spec.rounds,
+                                       spec.kill_fraction, spec.kill_round);
   run.seconds = std::chrono::duration<double>(Clock::now() - start).count();
 
   run.actions = driver.actions_executed();
@@ -2377,21 +2104,10 @@ bool emit_arena_json(bool quick, const std::string& path) {
     spec.scenario = scenario;
     spec.loss = loss;
     spec.n = n;
-    // The same fault geometry as the chaos legs: every window begins at
-    // round 150 so the RecoveryTracker gets 50 calm post-warmup probes to
-    // pin its baseline before the overlay is pushed out of band.
+    // The chaos legs' fault shapes.
     if (std::strcmp(scenario, "partition_heal") == 0) {
       spec.rounds = 480;
-      sim::FaultPhase cut;
-      cut.kind = sim::FaultKind::kPartition;
-      cut.begin = 150;
-      cut.end = 170;
-      cut.a_lo = 0;
-      cut.a_hi = static_cast<NodeId>(n / 2 - 1);
-      cut.b_lo = static_cast<NodeId>(n / 2);
-      cut.b_hi = static_cast<NodeId>(n - 1);
-      cut.label = "split";
-      spec.schedule.phases.push_back(cut);
+      spec.schedule.phases.push_back(half_split(n));
     } else if (std::strcmp(scenario, "mass_kill") == 0) {
       spec.rounds = 520;
       spec.kill_fraction = 0.20;
@@ -2399,15 +2115,7 @@ bool emit_arena_json(bool quick, const std::string& path) {
     } else {  // regional_burst
       spec.rounds = 420;
       spec.schedule.regions = 4;
-      sim::FaultPhase b;
-      b.kind = sim::FaultKind::kBurst;
-      b.begin = 150;
-      b.end = 190;
-      b.region = 1;
-      b.rate = 0.5;
-      b.burst_len = 8.0;
-      b.label = "rack-burst";
-      spec.schedule.phases.push_back(b);
+      spec.schedule.phases.push_back(rack_burst());
     }
     return spec;
   };
@@ -2553,8 +2261,7 @@ GateRun gate_overhead_run(std::size_t reps, std::size_t n, std::size_t threads,
   // Gate legs keep the seed's single-shard configuration: the instrumented
   // and bare runs then differ only in counting/recording cost, on the same
   // schedule the overhead budgets were originally calibrated against.
-  const ShardedLegSpec leg{
-      .n = n, .shards = threads, .threads = threads, .rounds = rounds};
+  const sim::RunSpec leg = scale_leg(n, threads, threads, rounds);
   // Calibration run: warms caches before any timed pair and supplies the
   // action count (deterministic for fixed n/threads/rounds) that the
   // no-op-counter leg cannot measure for itself.
@@ -2738,10 +2445,22 @@ int main(int argc, char** argv) {
   std::vector<BenchResult> results;
   const auto record = [&results](BenchResult r) {
     std::printf("%-22s n=%-8zu shards=%-3zu threads=%zu rounds=%-4zu "
-                "%10.3g actions/s rss=%.0f MiB\n",
+                "%10.3g actions/s rss=%.0f MiB%s%s\n",
                 r.driver.c_str(), r.n, r.shards, r.threads, r.rounds,
-                r.actions_per_sec, r.rss_mb);
+                r.actions_per_sec, r.rss_mb, r.health.empty() ? "" : " | ",
+                r.health.c_str());
     results.push_back(std::move(r));
+  };
+  const auto batched = [](sim::RunSpec spec) {
+    spec.pairs_per_message = 2;
+    return spec;
+  };
+  // The 10M leg's seeding: circulant install_slot (no Digraph) with
+  // first-touch slab init, on 64 shards.
+  const auto huge = [](std::size_t n) {
+    sim::RunSpec spec = scale_leg(n, 64, 4, 3);
+    spec.circulant = true;
+    return spec;
   };
 
   // The registry- and recorder-overhead gate legs run single-threaded
@@ -2756,19 +2475,13 @@ int main(int argc, char** argv) {
     for (BenchResult& r : gate.best) record(std::move(r));
     // Headline configuration at CI size: many cache-resident shards on one
     // worker, plus the §5 batched-message variant on the same layout.
-    record(run_sharded({.n = 5'000, .shards = 8, .threads = 1, .rounds = 50}));
-    record(run_sharded(
-        {.n = 5'000, .shards = 8, .threads = 1, .rounds = 50, .pairs = 2}));
-    record(run_sharded({.n = 5'000, .shards = 4, .threads = 4, .rounds = 50}));
-    record(run_sharded({.n = 5'000, .shards = 4, .threads = 4, .rounds = 50},
-                       ShardedMode::kObserved));
+    record(run_sharded(scale_leg(5'000, 8, 1, 50)));
+    record(run_sharded(batched(scale_leg(5'000, 8, 1, 50))));
+    record(run_sharded(scale_leg(5'000, 4, 4, 50)));
+    record(run_sharded(scale_leg(5'000, 4, 4, 50), ShardedMode::kObserved));
     // The 10M leg's code path (circulant install_slot seeding, first-touch
     // init, run-to-completion at scale) stubbed to a CI-sized n.
-    record(run_sharded({.n = 100'000,
-                        .shards = 64,
-                        .threads = 4,
-                        .rounds = 3,
-                        .cyclic_seed = true}));
+    record(run_sharded(huge(100'000)));
   } else {
     record(run_sequential(50'000, 200));
     // Gate legs run 2x the table's round count: a ~2-second timed region
@@ -2780,28 +2493,16 @@ int main(int argc, char** argv) {
     // shard's slab slice (~250 KiB) stays L2-resident through its phases;
     // cross-shard messages batch through the frame mailboxes. Gated in
     // check_bench.py at >= 1.5x the seed engine's committed 8.93M a/s.
-    record(run_sharded({.n = 50'000, .shards = 32, .threads = 1,
-                        .rounds = 200}));
-    record(run_sharded({.n = 50'000, .shards = 32, .threads = 1,
-                        .rounds = 200, .pairs = 2}));
-    record(run_sharded({.n = 50'000, .shards = 4, .threads = 4,
-                        .rounds = 200}));
-    record(run_sharded({.n = 50'000, .shards = 4, .threads = 4,
-                        .rounds = 200},
-                       ShardedMode::kObserved));
-    record(run_sharded({.n = 200'000, .shards = 4, .threads = 4,
-                        .rounds = 100}));
-    record(run_sharded({.n = 1'000'000, .shards = 4, .threads = 4,
-                        .rounds = 30}));
-    // The 10M-node leg: circulant install_slot seeding (no Digraph),
-    // first-touch slab init, 64 shards. bytes_per_node is gated <= 220 in
-    // check_bench.py — the packed layout budgets ~171 B/node (160 slab +
-    // side arrays + live lists).
-    record(run_sharded({.n = 10'000'000,
-                        .shards = 64,
-                        .threads = 4,
-                        .rounds = 3,
-                        .cyclic_seed = true}));
+    record(run_sharded(scale_leg(50'000, 32, 1, 200)));
+    record(run_sharded(batched(scale_leg(50'000, 32, 1, 200))));
+    record(run_sharded(scale_leg(50'000, 4, 4, 200)));
+    record(run_sharded(scale_leg(50'000, 4, 4, 200), ShardedMode::kObserved));
+    record(run_sharded(scale_leg(200'000, 4, 4, 100)));
+    record(run_sharded(scale_leg(1'000'000, 4, 4, 30)));
+    // The 10M-node leg. bytes_per_node is gated <= 220 in check_bench.py —
+    // the packed layout budgets ~171 B/node (160 slab + side arrays + live
+    // lists).
+    record(run_sharded(huge(10'000'000)));
   }
   if (!emit_json(results, path, gates)) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());

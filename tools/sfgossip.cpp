@@ -72,7 +72,6 @@
 #include "sampling/health.hpp"
 #include "sampling/spatial.hpp"
 #include "analysis/prediction.hpp"
-#include "core/flat_send_forget.hpp"
 #include "obs/detection.hpp"
 #include "obs/recovery.hpp"
 #include "sim/arena_driver.hpp"
@@ -82,7 +81,7 @@
 #include "sim/event_driver.hpp"
 #include "sim/fault_plane.hpp"
 #include "sim/round_driver.hpp"
-#include "sim/sharded_driver.hpp"
+#include "sim/run.hpp"
 
 #ifndef GOSSIP_GIT_DESCRIBE
 #define GOSSIP_GIT_DESCRIBE "unknown"
@@ -110,98 +109,70 @@ int usage() {
 // demonstrates the retune: the controller re-estimates ℓ̂, installs a
 // compliant dL, and the run ends with zero drift violations.
 int cmd_simulate_retune(const ArgParser& args) {
-  const auto nodes = args.get_size("nodes", 2000, 64, 10'000'000);
-  const auto rounds = args.get_size("rounds", 1200, 1, 10'000'000);
-  const double loss_rate = args.get_double("loss", 0.01, 0.0, 0.99);
-  const auto view_size = args.get_size("view-size", 40, 6, 512);
-  const auto min_degree = args.get_size("min-degree", 18, 2, 506);
-  const auto shards = args.get_size("shards", 2, 1, 64);
-  const auto stride = args.get_size("metrics-stride", 5, 1, 100'000);
-  const auto warmup = args.get_size("warmup", 300, 0, 10'000'000);
+  sim::RunSpec spec;
+  spec.nodes = args.get_size("nodes", 2000, 64, 10'000'000);
+  spec.rounds = args.get_size("rounds", 1200, 1, 10'000'000);
+  spec.loss = args.get_double("loss", 0.01, 0.0, 0.99);
+  spec.protocol.view_size = args.get_size("view-size", 40, 6, 512);
+  spec.protocol.min_degree = args.get_size("min-degree", 18, 2, 506);
+  spec.shards = args.get_size("shards", 2, 1, 64);
+  spec.stride = args.get_size("metrics-stride", 5, 1, 100'000);
+  spec.oracle_warmup = args.get_size("warmup", 300, 0, 10'000'000);
   const auto spike_begin = args.get_size("spike-begin", 400, 0, 10'000'000);
   const auto spike_end = args.get_size("spike-end", 0, 0, 10'000'000);
   const double spike_rate = args.get_double("spike-rate", 0.12, 0.0, 0.99);
-  const auto seed = static_cast<std::uint64_t>(
+  spec.seed = static_cast<std::uint64_t>(
       args.get_int("seed", 1, 0, std::numeric_limits<std::int64_t>::max()));
+  spec.graph_seed = spec.seed * 3 + 1;
+  spec.protocol.validate();
 
-  const SendForgetConfig cfg{.view_size = view_size,
-                             .min_degree = min_degree};
-  cfg.validate();
-
-  const auto solver = [](std::size_t s, std::size_t dl, double loss,
-                         double delta) {
-    analysis::DegreeMcParams dp;
-    dp.view_size = s;
-    dp.min_degree = dl;
-    dp.loss = loss;
-    return analysis::make_theory_prediction(
-        dp, delta, analysis::PredictionSource::kMeanField);
-  };
-
-  FlatSendForgetCluster cluster(nodes, cfg);
-  Rng graph_rng(seed * 3 + 1);
-  cluster.install_graph(permutation_regular(nodes, min_degree, graph_rng));
-
-  sim::FaultSchedule schedule;
-  if (spike_rate > 0.0 && spike_begin < rounds) {
+  // The spike is not declared: the oracle has to notice it, and the
+  // controller has to answer it.
+  if (spike_rate > 0.0 && spike_begin < spec.rounds) {
     sim::FaultPhase spike;
     spike.kind = sim::FaultKind::kLossSpike;
     spike.begin = spike_begin;
-    spike.end = spike_end == 0 ? rounds + 1 : spike_end;
+    spike.end = spike_end == 0 ? spec.rounds + 1 : spike_end;
     spike.rate = spike_rate;
     spike.label = "loss-spike";
-    schedule.phases.push_back(spike);
+    spec.faults.phases.push_back(spike);
   }
-  const sim::FaultPlane plane(schedule, nodes, shards);
-
-  sim::ShardedDriver driver(
-      cluster, sim::ShardedDriverConfig{
-                   .shard_count = shards, .loss_rate = loss_rate,
-                   .seed = seed});
-  if (!schedule.empty()) driver.attach_fault_plane(&plane);
-  driver.set_observation_stride(stride);
-
-  obs::OracleConfig oracle_config;
-  oracle_config.warmup_rounds = warmup;
-  obs::TheoryOracle oracle(solver(view_size, min_degree, loss_rate, 0.01),
-                           oracle_config);
-  driver.attach_oracle(&oracle);
-
-  sim::RetuneController controller(
-      sim::RetuneConfig{}, solver,
-      [&cluster](std::size_t dl) { cluster.set_min_degree(dl); });
-  controller.bind_oracle(&oracle);
-  driver.attach_retune(&controller);
+  spec.declare_faults = false;
+  spec.prediction = sim::theory_prediction(
+      spec.protocol, spec.loss, analysis::PredictionSource::kMeanField);
+  spec.retune = true;
+  spec.json_out = args.get_string("json", "");
+  sim::FlatRun run(spec);
 
   std::printf("simulating %zu nodes x %zu rounds, loss=%.3f, protocol=sf, "
               "driver=sharded(%zu), retune=on\n",
-              nodes, rounds, loss_rate, shards);
-  if (!schedule.empty()) std::printf("%s", plane.describe().c_str());
+              spec.nodes, spec.rounds, spec.loss, spec.shards);
+  if (!spec.faults.empty()) {
+    std::printf("%s", run.fault_plane().describe().c_str());
+  }
 
-  driver.run_rounds(rounds);
+  run.run();
 
-  const sim::NetworkMetrics net = driver.network_metrics();
+  const sim::NetworkMetrics net = run.driver().network_metrics();
   std::printf("network: %llu sent, %llu lost, %llu fault-dropped\n",
               static_cast<unsigned long long>(net.sent),
               static_cast<unsigned long long>(net.lost),
               static_cast<unsigned long long>(net.faulted));
-  std::printf("%s", oracle.report().c_str());
-  std::printf("%s", controller.report().c_str());
+  std::printf("%s", run.oracle()->report().c_str());
+  std::printf("%s", run.retune()->report().c_str());
 
-  if (args.has("json")) {
-    const auto path = args.get_string("json", "");
-    std::ofstream out(path);
-    if (!out) throw CliError("cannot open '" + path + "' for writing");
+  if (!spec.json_out.empty()) {
+    std::ostream& out = run.json();
     out << "{\n  \"tool\": \"sfgossip\",\n  \"schema_version\": 1,\n"
         << "  \"git\": \"" << GOSSIP_GIT_DESCRIBE << "\",\n  \"oracle\": ";
-    oracle.write_json(out);
+    run.oracle()->write_json(out);
     out << ",\n  \"retune\": ";
-    controller.write_json(out);
+    run.retune()->write_json(out);
     out << "\n}\n";
-    std::printf("wrote %s\n", path.c_str());
+    std::printf("wrote %s\n", spec.json_out.c_str());
   }
   // Healthy means the controller kept every drift lane out of VIOLATION.
-  return oracle.monitor().violation_transitions() == 0 ? 0 : 1;
+  return run.oracle()->monitor().violation_transitions() == 0 ? 0 : 1;
 }
 
 int cmd_simulate(const ArgParser& args) {
@@ -355,18 +326,8 @@ int cmd_simulate(const ArgParser& args) {
     export_registry = std::make_unique<obs::MetricsRegistry>(1);
     streamer =
         std::make_unique<obs::SnapshotStreamer>(*export_registry, ecfg);
-    if (args.has("snapshot-out")) {
-      const auto path = args.get_string("snapshot-out", "");
-      auto sink = std::make_unique<obs::JsonlSnapshotSink>(path);
-      if (!sink->ok()) {
-        throw CliError("cannot open '" + path + "' for writing");
-      }
-      streamer->add_sink(std::move(sink));
-    }
-    if (args.has("prom-out")) {
-      streamer->add_sink(std::make_unique<obs::PrometheusSnapshotSink>(
-          args.get_string("prom-out", "")));
-    }
+    sim::add_snapshot_sinks(*streamer, args.get_string("snapshot-out", ""),
+                            args.get_string("prom-out", ""));
     streamer->add_counter_probe("actions", [&cluster]() {
       return cluster.aggregate_metrics().actions_initiated;
     });
@@ -897,52 +858,85 @@ int cmd_trace_dump(const ArgParser& args) {
 
 // ---------------------------------------------------------------- chaos
 
-// Scenario config lines ("key value") provide run defaults; same-named CLI
-// flags win when both are present.
-// Prefix a config-value parse error with file:line so a bad scenario value
-// (e.g. "stride 0") points at the offending line, not just the key.
-[[noreturn]] void rethrow_scenario_error(const sim::ScenarioFile& scenario,
-                                         const sim::ScenarioConfigEntry& entry,
-                                         const CliError& error) {
-  throw CliError(scenario.path + ":" + std::to_string(entry.line) + ": " +
-                 error.what());
-}
-
-std::size_t scenario_size(const sim::ScenarioFile& scenario,
-                          const ArgParser& args, const char* key,
-                          std::size_t fallback, std::size_t lo,
-                          std::size_t hi) {
-  if (!args.has(key)) {
-    for (const sim::ScenarioConfigEntry& entry : scenario.config) {
-      if (entry.key != key) continue;
-      // Re-parse through the CLI machinery so scenario values get the same
-      // range validation and error text as flags.
-      try {
-        return ArgParser({"--" + std::string(key) + "=" + entry.value})
-            .get_size(key, fallback, lo, hi);
-      } catch (const CliError& e) {
-        rethrow_scenario_error(scenario, entry, e);
-      }
+// The run options chaos, top and arena share. Each is read from its flag,
+// else from the scenario's config line of the same name ("key value"),
+// else from the subcommand's default. A scenario value gets the flag's
+// range check, and its error names the file:line.
+class RunOptions {
+ public:
+  // Loads --scenario when given.
+  explicit RunOptions(const ArgParser& args) : args_(args) {
+    if (!args.has("scenario")) return;
+    const std::string path = args.get_string("scenario", "");
+    std::string error;
+    if (!sim::load_scenario_file(path, &scenario_, &error)) {
+      throw CliError("cannot load scenario '" + path + "': " + error);
     }
   }
-  return args.get_size(key, fallback, lo, hi);
-}
 
-double scenario_double(const sim::ScenarioFile& scenario,
-                       const ArgParser& args, const char* key,
-                       double fallback, double lo, double hi) {
-  if (!args.has(key)) {
-    for (const sim::ScenarioConfigEntry& entry : scenario.config) {
-      if (entry.key != key) continue;
-      try {
-        return ArgParser({"--" + std::string(key) + "=" + entry.value})
-            .get_double(key, fallback, lo, hi);
-      } catch (const CliError& e) {
-        rethrow_scenario_error(scenario, entry, e);
+  [[nodiscard]] const sim::ScenarioFile& scenario() const { return scenario_; }
+
+  [[nodiscard]] std::size_t size(const char* key, std::size_t fallback,
+                                 std::size_t lo, std::size_t hi) const {
+    return read<std::size_t>(key, [&](const ArgParser& in) {
+      return in.get_size(key, fallback, lo, hi);
+    });
+  }
+  [[nodiscard]] double real(const char* key, double fallback, double lo,
+                            double hi) const {
+    return read<double>(key, [&](const ArgParser& in) {
+      return in.get_double(key, fallback, lo, hi);
+    });
+  }
+
+ private:
+  template <class T, class Get>
+  T read(const char* key, Get get) const {
+    if (!args_.has(key)) {
+      for (const sim::ScenarioConfigEntry& entry : scenario_.config) {
+        if (entry.key != key) continue;
+        try {
+          return get(ArgParser({"--" + std::string(key) + "=" + entry.value}));
+        } catch (const CliError& e) {
+          throw CliError(scenario_.path + ":" + std::to_string(entry.line) +
+                         ": " + e.what());
+        }
       }
     }
+    return get(args_);
   }
-  return args.get_double(key, fallback, lo, hi);
+
+  const ArgParser& args_;
+  sim::ScenarioFile scenario_;
+};
+
+// Each subcommand's defaults and upper bounds for the shared options.
+struct RunDefaults {
+  std::size_t nodes = 0;
+  std::size_t max_nodes = 0;
+  double loss = 0.0;
+  std::size_t shards = 0;
+  std::size_t stride = 0;
+  std::size_t max_rounds = 0;
+};
+
+// The shared options as a RunSpec: size, protocol, driver, seed and
+// faults. Rounds default to the last heal + 200, or 400 with no faults.
+sim::RunSpec read_run_spec(const RunOptions& in, const RunDefaults& d) {
+  const sim::FaultSchedule& faults = in.scenario().schedule;
+  sim::RunSpec spec;
+  spec.nodes = in.size("nodes", d.nodes, 64, d.max_nodes);
+  spec.rounds = in.size("rounds", faults.empty() ? 400 : faults.last_end() + 200,
+                        1, d.max_rounds);
+  spec.loss = in.real("loss", d.loss, 0.0, 0.99);
+  spec.protocol.view_size = in.size("view-size", 40, 6, 512);
+  spec.protocol.min_degree = in.size("min-degree", 18, 2, 506);
+  spec.shards = in.size("shards", d.shards, 1, 64);
+  spec.seed = in.size("seed", 1, 0, 1'000'000'000);
+  spec.graph_seed = spec.seed * 3 + 1;
+  spec.stride = in.size("stride", d.stride, 1, 100'000);
+  spec.faults = faults;
+  return spec;
 }
 
 int cmd_chaos(const ArgParser& args) {
@@ -979,66 +973,19 @@ int cmd_chaos(const ArgParser& args) {
         "shards, seed, stride, warmup, grace) set defaults; flags override.\n");
     return args.has("help") ? 0 : 2;
   }
+  const RunOptions in(args);
   const std::string scenario_path = args.get_string("scenario", "");
-  sim::ScenarioFile scenario;
-  std::string error;
-  if (!sim::load_scenario_file(scenario_path, &scenario, &error)) {
-    throw CliError("cannot load scenario '" + scenario_path + "': " + error);
-  }
-  if (scenario.schedule.empty()) {
+  if (in.scenario().schedule.empty()) {
     throw CliError("scenario '" + scenario_path + "' declares no phases");
   }
-
-  const std::size_t nodes =
-      scenario_size(scenario, args, "nodes", 5000, 64, 1'000'000);
-  const std::size_t default_rounds =
-      static_cast<std::size_t>(scenario.schedule.last_end()) + 200;
-  const std::size_t rounds =
-      scenario_size(scenario, args, "rounds", default_rounds, 1, 10'000'000);
-  const double loss = scenario_double(scenario, args, "loss", 0.01, 0.0, 0.99);
-  const std::size_t view_size =
-      scenario_size(scenario, args, "view-size", 40, 6, 512);
-  const std::size_t min_degree =
-      scenario_size(scenario, args, "min-degree", 18, 2, 506);
-  const std::size_t shards = scenario_size(scenario, args, "shards", 4, 1, 64);
-  const auto seed =
-      static_cast<std::uint64_t>(scenario_size(scenario, args, "seed", 1, 0,
-                                               1'000'000'000));
-  const std::size_t stride =
-      scenario_size(scenario, args, "stride", 5, 1, 100'000);
-  const std::size_t warmup =
-      scenario_size(scenario, args, "warmup", 100, 0, 1'000'000);
-  const std::size_t grace =
-      scenario_size(scenario, args, "grace", 40, 0, 1'000'000);
-
-  const SendForgetConfig cfg{.view_size = view_size,
-                             .min_degree = min_degree};
-  cfg.validate();
-  const sim::FaultPlane plane(scenario.schedule, nodes, shards);
-
-  std::printf("chaos: %zu nodes x %zu rounds, loss=%.3f, %zu shard(s), "
-              "seed=%llu\n%s",
-              nodes, rounds, loss, shards,
-              static_cast<unsigned long long>(seed),
-              plane.describe().c_str());
-
-  FlatSendForgetCluster cluster(nodes, cfg);
-  Rng graph_rng(seed * 3 + 1);
-  cluster.install_graph(permutation_regular(nodes, min_degree, graph_rng));
-
-  sim::ShardedDriver driver(
-      cluster, sim::ShardedDriverConfig{
-                   .shard_count = shards, .loss_rate = loss, .seed = seed});
-  obs::RoundTimeSeries series(stride);
-  obs::RecoveryTracker recovery(obs::RecoveryConfig{
-      .min_degree = min_degree, .view_size = view_size,
-      .warmup_rounds = warmup});
-  for (const sim::FaultPhase& phase : scenario.schedule.phases) {
-    recovery.declare_window(phase.begin, phase.end, phase.label);
-  }
-  recovery.attach_series(&series);
-
-  std::unique_ptr<obs::TheoryOracle> oracle;
+  sim::RunSpec spec = read_run_spec(
+      in, {.nodes = 5000, .max_nodes = 1'000'000, .loss = 0.01, .shards = 4,
+           .stride = 5, .max_rounds = 10'000'000});
+  spec.recovery_warmup = in.size("warmup", 100, 0, 1'000'000);
+  spec.grace = in.size("grace", 40, 0, 1'000'000);
+  spec.protocol.validate();
+  spec.series = true;
+  spec.recovery = true;
   if (args.has("oracle")) {
     const auto source_name = args.get_string("prediction", "exact");
     analysis::PredictionSource source;
@@ -1049,92 +996,64 @@ int cmd_chaos(const ArgParser& args) {
     } else {
       throw CliError("unknown --prediction '" + source_name + "'");
     }
-    analysis::DegreeMcParams dp;
-    dp.view_size = view_size;
-    dp.min_degree = min_degree;
-    dp.loss = loss;
-    oracle = std::make_unique<obs::TheoryOracle>(
-        analysis::make_theory_prediction(dp, /*delta=*/0.01, source));
-    for (const sim::FaultPhase& phase : scenario.schedule.phases) {
-      oracle->declare_fault_window(phase.begin, phase.end, grace);
-    }
-    driver.attach_oracle(oracle.get());
+    spec.prediction = sim::theory_prediction(spec.protocol, spec.loss, source);
   }
-  driver.attach_time_series(&series);
-  driver.attach_fault_plane(&plane);
-
   // A deeper default ring than the recorder's cache-resident 512: chaos
   // post-mortems want the whole fault window, and a one-shot chaos run is
   // not a perf gate.
-  std::unique_ptr<obs::FlightRecorder> recorder;
   if (args.has("trace-out")) {
-    const std::size_t capacity =
-        args.get_size("trace-capacity", 4096, 8, 1u << 24);
-    recorder = std::make_unique<obs::FlightRecorder>(shards, capacity);
-    driver.attach_flight_recorder(recorder.get());
+    spec.recorder_capacity = args.get_size("trace-capacity", 4096, 8, 1u << 24);
+    spec.trace_out = args.get_string("trace-out", "");
   }
-
-  driver.attach_recovery(&recovery);
-
   // The streamer borrows the driver's own registry, so chaos snapshots
   // carry the native shard counters plus the oracle drift and recovery
-  // gauges registered above.
-  std::unique_ptr<obs::SnapshotStreamer> streamer;
+  // gauges.
   if (args.has("snapshot-out") || args.has("prom-out")) {
-    obs::ExportConfig ecfg;
-    ecfg.snapshot_stride = args.get_size("snapshot-stride", stride, 1,
-                                         1'000'000);
-    streamer = std::make_unique<obs::SnapshotStreamer>(
-        driver.metrics_registry(), ecfg);
-    if (args.has("snapshot-out")) {
-      const auto path = args.get_string("snapshot-out", "");
-      auto sink = std::make_unique<obs::JsonlSnapshotSink>(path);
-      if (!sink->ok()) {
-        throw CliError("cannot open '" + path + "' for writing");
-      }
-      streamer->add_sink(std::move(sink));
-    }
-    if (args.has("prom-out")) {
-      streamer->add_sink(std::make_unique<obs::PrometheusSnapshotSink>(
-          args.get_string("prom-out", "")));
-    }
-    driver.attach_streamer(streamer.get());
+    spec.snapshot_stride =
+        args.get_size("snapshot-stride", spec.stride, 1, 1'000'000);
+    spec.snapshot_out = args.get_string("snapshot-out", "");
+    spec.prom_out = args.get_string("prom-out", "");
   }
+  spec.json_out = args.get_string("json", "");
+  sim::FlatRun run(spec);
 
-  driver.run_rounds(rounds);
+  std::printf("chaos: %zu nodes x %zu rounds, loss=%.3f, %zu shard(s), "
+              "seed=%llu\n%s",
+              spec.nodes, spec.rounds, spec.loss, spec.shards,
+              static_cast<unsigned long long>(spec.seed),
+              run.fault_plane().describe().c_str());
 
-  const sim::NetworkMetrics net = driver.network_metrics();
+  run.run();
+
+  const sim::NetworkMetrics net = run.driver().network_metrics();
   std::printf("network: %llu sent, %llu lost, %llu fault-dropped\n",
               static_cast<unsigned long long>(net.sent),
               static_cast<unsigned long long>(net.lost),
               static_cast<unsigned long long>(net.faulted));
+  obs::RecoveryTracker& recovery = *run.recovery();
+  obs::TheoryOracle* oracle = run.oracle();
   std::printf("%s", recovery.report().c_str());
   if (oracle) std::printf("%s", oracle->report().c_str());
-  if (streamer) {
-    streamer->finish();
+  if (run.streamer()) {
     std::printf("streamed %llu snapshot(s)\n",
-                static_cast<unsigned long long>(streamer->snapshots_taken()));
+                static_cast<unsigned long long>(
+                    run.streamer()->snapshots_taken()));
   }
-  if (recorder) {
-    const auto path = args.get_string("trace-out", "");
-    if (!recorder->dump_to_file(path)) {
-      throw CliError("cannot write trace '" + path + "'");
-    }
+  if (run.recorder()) {
     std::printf("dumped %llu flight event(s) to %s\n",
-                static_cast<unsigned long long>(recorder->total_recorded()),
-                path.c_str());
+                static_cast<unsigned long long>(
+                    run.recorder()->total_recorded()),
+                spec.trace_out.c_str());
   }
 
-  if (args.has("json")) {
-    const auto path = args.get_string("json", "");
-    std::ofstream out(path);
-    if (!out) throw CliError("cannot open '" + path + "' for writing");
+  if (!spec.json_out.empty()) {
+    std::ostream& out = run.json();
     out << "{\n  \"tool\": \"sfgossip\",\n  \"schema_version\": 1,\n"
         << "  \"git\": \"" << GOSSIP_GIT_DESCRIBE << "\",\n"
         << "  \"scenario\": \"" << scenario_path << "\",\n  \"series\": ";
-    series.write_json(out);
+    run.series()->write_json(out);
     out << ",\n  \"annotations\": ";
-    series.write_annotations_json(out);
+    run.series()->write_annotations_json(out);
     out << ",\n  \"recovery\": ";
     recovery.write_json(out);
     if (oracle) {
@@ -1142,7 +1061,7 @@ int cmd_chaos(const ArgParser& args) {
       oracle->write_json(out);
     }
     out << "\n}\n";
-    std::printf("wrote %s\n", path.c_str());
+    std::printf("wrote %s\n", spec.json_out.c_str());
   }
   // Exit status mirrors the run's health: 1 when any declared window never
   // recovered or an undeclared excursion is still open.
@@ -1243,40 +1162,17 @@ int cmd_arena(const ArgParser& args) {
         "verdicts (no false confirmations, no timetable).\n");
     return 0;
   }
-  sim::ScenarioFile scenario;
+  const RunOptions in(args);
   const std::string scenario_path = args.get_string("scenario", "");
-  if (!scenario_path.empty()) {
-    std::string error;
-    if (!sim::load_scenario_file(scenario_path, &scenario, &error)) {
-      throw CliError("cannot load scenario '" + scenario_path +
-                     "': " + error);
-    }
-  }
-
-  const std::size_t nodes =
-      scenario_size(scenario, args, "nodes", 256, 64, 8192);
-  const std::size_t default_rounds =
-      scenario.schedule.empty()
-          ? 400
-          : static_cast<std::size_t>(scenario.schedule.last_end()) + 200;
-  const std::size_t rounds =
-      scenario_size(scenario, args, "rounds", default_rounds, 1, 1'000'000);
-  const double loss = scenario_double(scenario, args, "loss", 0.02, 0.0, 0.99);
-  const double kill_fraction =
-      scenario_double(scenario, args, "kill-fraction", 0.0, 0.0, 0.9);
-  const std::size_t kill_round =
-      scenario_size(scenario, args, "kill-round", 150, 1, 1'000'000);
-  const std::size_t view_size =
-      scenario_size(scenario, args, "view-size", 40, 6, 512);
-  const std::size_t min_degree =
-      scenario_size(scenario, args, "min-degree", 18, 2, 506);
-  const std::size_t shards = scenario_size(scenario, args, "shards", 4, 1, 64);
-  const std::size_t threads =
-      scenario_size(scenario, args, "threads", shards, 1, 64);
-  const auto seed = static_cast<std::uint64_t>(
-      scenario_size(scenario, args, "seed", 1, 0, 1'000'000'000));
-  const std::size_t stride =
-      scenario_size(scenario, args, "stride", 1, 1, 100'000);
+  const sim::RunSpec spec = read_run_spec(
+      in, {.nodes = 256, .max_nodes = 8192, .loss = 0.02, .shards = 4,
+           .stride = 1, .max_rounds = 1'000'000});
+  const std::size_t nodes = spec.nodes;
+  const std::size_t view_size = spec.protocol.view_size;
+  const std::size_t min_degree = spec.protocol.min_degree;
+  const double kill_fraction = in.real("kill-fraction", 0.0, 0.0, 0.9);
+  const std::size_t kill_round = in.size("kill-round", 150, 1, 1'000'000);
+  const std::size_t threads = in.size("threads", spec.shards, 1, 64);
 
   std::vector<ArenaContender> contenders;
   {
@@ -1290,11 +1186,11 @@ int cmd_arena(const ArgParser& args) {
   }
   if (contenders.empty()) throw CliError("--protocols names no protocols");
 
-  const sim::FaultPlane plane(scenario.schedule, nodes, shards);
+  const sim::FaultPlane plane(spec.faults, nodes, spec.shards);
   std::printf("arena: %zu nodes x %zu rounds, loss=%.3f, %zu shard(s), "
               "seed=%llu\n%s",
-              nodes, rounds, loss, shards,
-              static_cast<unsigned long long>(seed),
+              nodes, spec.rounds, spec.loss,
+              spec.shards, static_cast<unsigned long long>(spec.seed),
               plane.describe().c_str());
   if (kill_fraction > 0.0) {
     std::printf("churn: %.0f%% killed at round %zu\n", kill_fraction * 100.0,
@@ -1303,9 +1199,7 @@ int cmd_arena(const ArgParser& args) {
 
   std::ofstream json;
   if (args.has("json")) {
-    const auto path = args.get_string("json", "");
-    json.open(path);
-    if (!json) throw CliError("cannot open '" + path + "' for writing");
+    json = sim::open_output(args.get_string("json", ""));
     json << "{\n  \"tool\": \"sfgossip\",\n  \"schema_version\": 1,\n"
          << "  \"git\": \"" << GOSSIP_GIT_DESCRIBE << "\",\n"
          << "  \"scenario\": \""
@@ -1324,24 +1218,24 @@ int cmd_arena(const ArgParser& args) {
       for (NodeId u = 0; u < nodes; ++u) ids[u] = u;
       for (NodeId u = 0; u < nodes; ++u) cluster.node(u).install_view(ids);
     } else {
-      Rng graph_rng(seed * 3 + 1);
+      Rng graph_rng(spec.graph_seed);
       cluster.install_graph(permutation_regular(nodes, min_degree, graph_rng));
     }
 
     sim::ArenaDriver driver(
-        cluster, sim::ArenaDriverConfig{.shards = shards,
+        cluster, sim::ArenaDriverConfig{.shards = spec.shards,
                                         .threads = threads,
-                                        .loss_rate = loss,
-                                        .seed = seed});
-    driver.set_observation_stride(stride);
-    if (!scenario.schedule.empty()) driver.attach_fault_plane(&plane);
+                                        .loss_rate = spec.loss,
+                                        .seed = spec.seed});
+    driver.set_observation_stride(spec.stride);
+    if (!spec.faults.empty()) driver.attach_fault_plane(&plane);
     obs::DetectionTracker detection(obs::DetectionConfig{.fp_stride = 5});
     driver.attach_detection(&detection);
     std::unique_ptr<obs::RecoveryTracker> recovery;
     if (c.track_recovery) {
       recovery = std::make_unique<obs::RecoveryTracker>(obs::RecoveryConfig{
           .min_degree = min_degree, .view_size = view_size});
-      for (const sim::FaultPhase& phase : scenario.schedule.phases) {
+      for (const sim::FaultPhase& phase : spec.faults.phases) {
         recovery->declare_window(phase.begin, phase.end, phase.label);
       }
       if (kill_fraction > 0.0) {
@@ -1350,24 +1244,8 @@ int cmd_arena(const ArgParser& args) {
       driver.attach_recovery(recovery.get());
     }
 
-    std::size_t killed = 0;
-    if (kill_fraction > 0.0 && kill_round < rounds) {
-      driver.run_rounds(kill_round);
-      const auto to_kill =
-          static_cast<std::size_t>(kill_fraction *
-                                   static_cast<double>(nodes));
-      Rng& crng = driver.churn_rng();
-      while (killed < to_kill) {
-        const auto victim = static_cast<NodeId>(crng.uniform(nodes));
-        if (cluster.live(victim)) {
-          driver.kill(victim);
-          ++killed;
-        }
-      }
-      driver.run_rounds(rounds - kill_round);
-    } else {
-      driver.run_rounds(rounds);
-    }
+    const std::size_t killed = sim::run_with_mass_kill(
+        driver, cluster, spec.rounds, kill_fraction, kill_round);
 
     const sim::NetworkMetrics net = driver.network_metrics();
     const std::uint64_t actions = driver.actions_executed();
@@ -1540,101 +1418,34 @@ int cmd_top(const ArgParser& args) {
         "                    when stdout is not a TTY)\n");
     return 0;
   }
-  sim::ScenarioFile scenario;
+  const RunOptions in(args);
   const bool scripted = args.has("scenario");
-  if (scripted) {
-    const std::string path = args.get_string("scenario", "");
-    std::string error;
-    if (!sim::load_scenario_file(path, &scenario, &error)) {
-      throw CliError("cannot load scenario '" + path + "': " + error);
-    }
-  }
-  const std::size_t nodes =
-      scenario_size(scenario, args, "nodes", 2000, 64, 10'000'000);
-  const std::size_t default_rounds =
-      scripted && !scenario.schedule.empty()
-          ? static_cast<std::size_t>(scenario.schedule.last_end()) + 200
-          : 400;
-  const std::size_t rounds =
-      scenario_size(scenario, args, "rounds", default_rounds, 1, 10'000'000);
-  const double loss = scenario_double(scenario, args, "loss", 0.02, 0.0, 0.99);
-  const std::size_t view_size =
-      scenario_size(scenario, args, "view-size", 40, 6, 512);
-  const std::size_t min_degree =
-      scenario_size(scenario, args, "min-degree", 18, 2, 506);
-  const std::size_t shards = scenario_size(scenario, args, "shards", 2, 1, 64);
-  const auto seed = static_cast<std::uint64_t>(
-      scenario_size(scenario, args, "seed", 1, 0, 1'000'000'000));
-  const std::size_t stride =
-      scenario_size(scenario, args, "stride", 5, 1, 100'000);
-  const std::size_t warmup =
-      scenario_size(scenario, args, "warmup", 100, 0, 1'000'000);
-  const bool plain = args.has("plain") || isatty(fileno(stdout)) == 0;
-
-  const SendForgetConfig cfg{.view_size = view_size,
-                             .min_degree = min_degree};
-  cfg.validate();
-  FlatSendForgetCluster cluster(nodes, cfg);
-  Rng graph_rng(seed * 3 + 1);
-  cluster.install_graph(permutation_regular(nodes, min_degree, graph_rng));
-
-  sim::ShardedDriver driver(
-      cluster, sim::ShardedDriverConfig{
-                   .shard_count = shards, .loss_rate = loss, .seed = seed});
-  driver.set_observation_stride(stride);
-
-  const sim::FaultPlane plane(scenario.schedule, nodes, shards);
-  if (scripted && !scenario.schedule.empty()) driver.attach_fault_plane(&plane);
-
-  // Drift scores come from the mean-field oracle (fast enough to solve at
-  // startup for any CLI-scale parameters).
-  analysis::DegreeMcParams dp;
-  dp.view_size = view_size;
-  dp.min_degree = min_degree;
-  dp.loss = loss;
-  obs::OracleConfig oracle_config;
+  sim::RunSpec spec = read_run_spec(
+      in, {.nodes = 2000, .max_nodes = 10'000'000, .loss = 0.02, .shards = 2,
+           .stride = 5, .max_rounds = 10'000'000});
+  spec.recovery_warmup = in.size("warmup", 100, 0, 1'000'000);
   // Deliberately decoupled from the tracker warmup: the structural lanes
   // are meaningful after ~100 rounds, but the oracle's statistical checks
   // compare against the stationary distribution, which a dL-seeded
   // overlay only approaches over hundreds of rounds (OracleConfig
   // default). The dashboard shows "warming up" until the first probe.
-  oracle_config.warmup_rounds =
-      scenario_size(scenario, args, "oracle-warmup",
-                    oracle_config.warmup_rounds, 0, 1'000'000);
-  obs::TheoryOracle oracle(
-      analysis::make_theory_prediction(dp, /*delta=*/0.01,
-                                       analysis::PredictionSource::kMeanField),
-      oracle_config);
-  for (const sim::FaultPhase& phase : scenario.schedule.phases) {
-    oracle.declare_fault_window(phase.begin, phase.end, /*grace=*/40);
-  }
-  driver.attach_oracle(&oracle);
-
-  std::unique_ptr<obs::RecoveryTracker> recovery;
-  if (scripted) {
-    recovery = std::make_unique<obs::RecoveryTracker>(obs::RecoveryConfig{
-        .min_degree = min_degree, .view_size = view_size,
-        .warmup_rounds = warmup});
-    for (const sim::FaultPhase& phase : scenario.schedule.phases) {
-      recovery->declare_window(phase.begin, phase.end, phase.label);
-    }
-    driver.attach_recovery(recovery.get());
-  }
-
+  spec.oracle_warmup = in.size("oracle-warmup", spec.oracle_warmup, 0, 1'000'000);
+  const bool plain = args.has("plain") || isatty(fileno(stdout)) == 0;
+  spec.protocol.validate();
+  // Drift scores come from the mean-field oracle (fast enough to solve at
+  // startup for any CLI-scale parameters).
+  spec.prediction = sim::theory_prediction(
+      spec.protocol, spec.loss, analysis::PredictionSource::kMeanField);
+  spec.recovery = scripted;
   // Dashboard frames ride the snapshot stream: the streamer borrows the
   // driver's registry and captures at every observation (stride rounds).
-  obs::SnapshotStreamer streamer(driver.metrics_registry(),
-                                 obs::ExportConfig{.snapshot_stride = 1});
-  if (args.has("snapshot-out")) {
-    const auto path = args.get_string("snapshot-out", "");
-    auto sink = std::make_unique<obs::JsonlSnapshotSink>(path);
-    if (!sink->ok()) throw CliError("cannot open '" + path + "' for writing");
-    streamer.add_sink(std::move(sink));
-  }
-  if (args.has("prom-out")) {
-    streamer.add_sink(std::make_unique<obs::PrometheusSnapshotSink>(
-        args.get_string("prom-out", "")));
-  }
+  spec.snapshot_stride = 1;
+  spec.snapshot_out = args.get_string("snapshot-out", "");
+  spec.prom_out = args.get_string("prom-out", "");
+  sim::FlatRun run(spec);
+  const obs::TheoryOracle& oracle = *run.oracle();
+  const obs::RecoveryTracker* recovery = run.recovery();
+  obs::SnapshotStreamer& streamer = *run.streamer();
 
   using Clock = std::chrono::steady_clock;
   Clock::time_point last_frame = Clock::now();
@@ -1691,7 +1502,7 @@ int cmd_top(const ArgParser& args) {
                                   : "warming up";
 
         std::string active_labels;
-        for (const sim::FaultPhase& phase : scenario.schedule.phases) {
+        for (const sim::FaultPhase& phase : spec.faults.phases) {
           if (phase.begin <= snap.round && snap.round < phase.end) {
             if (!active_labels.empty()) active_labels += ", ";
             active_labels += phase.label;
@@ -1706,7 +1517,7 @@ int cmd_top(const ArgParser& args) {
               line, sizeof(line),
               "[round %llu/%zu] live=%.0f act/s=%.0f loss=%.1f%% "
               "out p50/p90/p99=%.1f/%.1f/%.1f drift=%s faults=%s",
-              static_cast<unsigned long long>(snap.round), rounds,
+              static_cast<unsigned long long>(snap.round), spec.rounds,
               live != nullptr ? live->value : 0.0, aps, loss_pct,
               outdeg != nullptr ? outdeg->quantiles.p50 : 0.0,
               outdeg != nullptr ? outdeg->quantiles.p90 : 0.0,
@@ -1731,8 +1542,9 @@ int cmd_top(const ArgParser& args) {
         };
         addf("sfgossip top — round %llu/%zu   %zu nodes, %zu shard(s), "
              "loss=%.3f, seed=%llu\n",
-             static_cast<unsigned long long>(snap.round), rounds, nodes,
-             shards, loss, static_cast<unsigned long long>(seed));
+             static_cast<unsigned long long>(snap.round), spec.rounds,
+             spec.nodes, spec.shards, spec.loss,
+             static_cast<unsigned long long>(spec.seed));
         frame +=
             "---------------------------------------------------------------"
             "\n";
@@ -1753,7 +1565,8 @@ int cmd_top(const ArgParser& args) {
           addf("outdegree      p50 %.1f   p90 %.1f   p99 %.1f   band "
                "[%zu, %zu]\n",
                outdeg->quantiles.p50, outdeg->quantiles.p90,
-               outdeg->quantiles.p99, min_degree, view_size);
+               outdeg->quantiles.p99, spec.protocol.min_degree,
+               spec.protocol.view_size);
         }
         addf("drift          overall %s (%llu violation transitions)\n",
              overall,
@@ -1779,13 +1592,9 @@ int cmd_top(const ArgParser& args) {
         std::fwrite(frame.data(), 1, frame.size(), stdout);
         std::fflush(stdout);
       }));
-  // Attached last so every frame sees the round's complete observer output.
-  driver.attach_streamer(&streamer);
+  run.run();
 
-  driver.run_rounds(rounds);
-  streamer.finish();
-
-  const sim::NetworkMetrics net = driver.network_metrics();
+  const sim::NetworkMetrics net = run.driver().network_metrics();
   std::printf("\nrun complete: %llu frame(s), %llu sent, %llu lost, "
               "drift %s\n",
               static_cast<unsigned long long>(streamer.snapshots_taken()),
@@ -1830,6 +1639,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
     return usage();
   } catch (const CliError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  } catch (const std::invalid_argument& error) {
+    // A parameter the library rejects (an inverted fault window, an odd
+    // view size) is a bad argument too.
     std::fprintf(stderr, "error: %s\n", error.what());
     return 2;
   } catch (const std::exception& error) {
