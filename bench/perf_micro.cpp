@@ -381,8 +381,8 @@ BENCHMARK(BM_SpmvCsr)->Arg(512)->Arg(2048)->Arg(131072);
 
 // ---------------------------------------------------------------------------
 // Full §6.2 degree-MC solve at a reduced operating point: the classic
-// damped fixed point vs Anderson mixing (both with the accelerated inner
-// iteration, so the delta isolates the outer update rule).
+// damped fixed point vs Anderson mixing (both on the direct banded inner
+// solve, so the delta isolates the outer update rule).
 
 analysis::DegreeMcParams micro_degree_params(
     analysis::DegreeMcAcceleration accel) {
@@ -472,6 +472,41 @@ void BM_StationaryAnderson(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StationaryAnderson)->Unit(benchmark::kMillisecond);
+
+// The §6.2 inner-solve shape: 558 states, every transition within 12 of
+// the diagonal. Anderson-accelerated power iteration vs the direct banded
+// GTH reduction the degree MC uses.
+markov::SparseChain banded_chain(std::size_t n, std::size_t half_width) {
+  markov::SparseChain chain(n);
+  Rng rng(19);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < kNnzPerRow; ++j) {
+      const std::size_t lo = i > half_width ? i - half_width : 0;
+      const std::size_t hi = std::min(n - 1, i + half_width);
+      std::size_t to = lo + rng.uniform(hi - lo + 1);
+      if (to == i) to = i > lo ? i - 1 : i + 1;
+      chain.add(i, to, 0.9 * rng.uniform_double() / kNnzPerRow);
+    }
+  }
+  chain.finalize();
+  return chain;
+}
+
+void BM_StationaryAndersonBanded(benchmark::State& state) {
+  const markov::SparseChain chain = banded_chain(558, 12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(chain.stationary({}, 1e-13, 500'000, true));
+  }
+}
+BENCHMARK(BM_StationaryAndersonBanded)->Unit(benchmark::kMillisecond);
+
+void BM_StationaryDirectBanded(benchmark::State& state) {
+  const markov::SparseChain chain = banded_chain(558, 12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(chain.stationary_direct());
+  }
+}
+BENCHMARK(BM_StationaryDirectBanded)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -49,18 +49,41 @@ class DegreeMcSolver {
     mixer.set_telemetry(p_.telemetry, "degree_mc_outer");
     std::vector<double> f(n);
     std::vector<double> accel;
+    // The last iterate whose chain solved, and its solution: the fallback
+    // when an extrapolated iterate makes the chain reducible.
+    std::vector<double> last_pi;
+    std::vector<double> last_g;
 
     for (std::size_t iter = 0; iter < p_.max_fixed_point_iterations; ++iter) {
       const PopulationStats stats = population_stats(pi);
       refresh_values(stats, loss);
 
-      auto inner =
-          chain_.stationary(pi, p_.stationary_tolerance,
-                            p_.max_stationary_iterations,
-                            p_.accelerated_stationary, p_.telemetry,
-                            "degree_mc_inner");
-      result.stationary_iterations += inner.iterations;
+      auto inner = chain_.stationary_direct();
+      if (!inner.converged) {
+        // Anderson's simplex projection can zero every o > dL entry: then
+        // pz = 1, indegree can never fall, and the chain's only stationary
+        // laws are bogus fixed points. Reject the iterate and take the
+        // damped step from the last one that solved.
+        if (last_g.empty()) {
+          throw std::runtime_error("degree MC chain is reducible");
+        }
+        if (p_.telemetry != nullptr) {
+          p_.telemetry->on_event("degree_mc_outer", "reducible_step",
+                                 result.fixed_point_iterations);
+        }
+        mixer.reset();
+        for (std::size_t k = 0; k < n; ++k) {
+          pi[k] = 0.5 * (last_pi[k] + last_g[k]);
+        }
+        continue;
+      }
+      ++result.stationary_iterations;
       result.stationary_residual = inner.residual;
+      if (p_.telemetry != nullptr) {
+        p_.telemetry->on_iteration("degree_mc_inner",
+                                   result.stationary_iterations,
+                                   inner.residual);
+      }
       std::vector<double>& g = inner.distribution;
 
       double residual = 0.0;
@@ -68,10 +91,11 @@ class DegreeMcSolver {
         f[k] = g[k] - pi[k];
         residual += std::abs(f[k]);
       }
-      result.fixed_point_iterations = iter + 1;
+      result.fixed_point_iterations = result.stationary_iterations;
       result.fixed_point_residual = residual;
       if (p_.telemetry != nullptr) {
-        p_.telemetry->on_iteration("degree_mc_outer", iter + 1, residual);
+        p_.telemetry->on_iteration("degree_mc_outer",
+                                   result.fixed_point_iterations, residual);
       }
 
       if (residual < p_.fixed_point_tolerance) {
@@ -88,13 +112,16 @@ class DegreeMcSolver {
         accelerated = mixer.extrapolate(accel) &&
                       markov::project_to_simplex(accel);
       }
+      last_pi = pi;
+      last_g = g;
       if (accelerated) {
         std::swap(pi, accel);
       } else {
         // Damped step: the paper-faithful update, and the Anderson
         // fallback whenever the extrapolation declines or degenerates.
         if (p_.telemetry != nullptr) {
-          p_.telemetry->on_event("degree_mc_outer", "damped_step", iter + 1);
+          p_.telemetry->on_event("degree_mc_outer", "damped_step",
+                                 result.fixed_point_iterations);
         }
         for (std::size_t k = 0; k < n; ++k) {
           pi[k] = 0.5 * (pi[k] + g[k]);
@@ -204,18 +231,22 @@ class DegreeMcSolver {
     return p_.sum_degree_cap != 0 ? p_.sum_degree_cap : 3 * p_.view_size;
   }
 
+  // Indegree-major order: every §6.2 event moves indegree by at most one
+  // and outdegree by at most one level, so each transition stays within
+  // one indegree level of the diagonal and the chain is banded (about
+  // (s - dL)/2 + 1 states either side) for the direct solve.
   void enumerate_states() {
     const std::size_t s = p_.view_size;
     const std::size_t cap = sum_cap();
-    for (std::size_t o = p_.min_degree; o <= s; o += 2) {
-      if (p_.fixed_sum_degree) {
-        const std::size_t dm = *p_.fixed_sum_degree;
-        if (o > dm) break;
-        const std::size_t i = (dm - o) / 2;
-        push_state(o, i);
-        continue;
+    if (p_.fixed_sum_degree) {
+      const std::size_t dm = *p_.fixed_sum_degree;
+      for (std::size_t o = p_.min_degree; o <= std::min(s, dm); o += 2) {
+        push_state(o, (dm - o) / 2);
       }
-      for (std::size_t i = 0; o + 2 * i <= cap; ++i) {
+      return;
+    }
+    for (std::size_t i = 0; p_.min_degree + 2 * i <= cap; ++i) {
+      for (std::size_t o = p_.min_degree; o <= s && o + 2 * i <= cap; o += 2) {
         if (o == 0 && i == 0) continue;  // isolated node: unreachable (§6.2)
         push_state(o, i);
       }

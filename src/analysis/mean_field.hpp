@@ -30,16 +30,15 @@
 // E[in | out] by its mean). The optional 1/n-style refinement restores it:
 // starting from the converged product measure, the refinement re-solves the
 // pair occupancy measure under the exact §6.2 generator inside a second
-// Anderson-mixed consistency loop. Its inner step exploits structure the
-// exact solver's power iteration ignores: every event changes the
+// Anderson-mixed consistency loop. Its inner step exploits the structure
+// the exact solver's banded GTH solve also uses: every event changes the
 // in-degree by at most one, so the pair generator is block tridiagonal in
 // the in-degree level with one small out-degree phase block per level — a
 // level-dependent QBD chain whose stationary distribution is computed
 // *directly* by backward block elimination (O(levels · phases^3), ~1e5
-// flops at the paper box) instead of tens of thousands of power sweeps.
-// The refined fixed point therefore agrees with the exact solver to solver
-// tolerance (degree-marginal TVD and dup/del rates pinned in tests far
-// below the 5e-3 / 2% contract) at three orders of magnitude less work.
+// flops at the paper box). The refined fixed point agrees with the exact
+// solver to solver tolerance (degree-marginal TVD and dup/del rates
+// pinned in tests far below the 5e-3 / 2% contract).
 #pragma once
 
 #include <cstddef>

@@ -58,11 +58,20 @@ void SparseChain::build_csr() {
   // Counting sort by destination; slots of a destination keep insertion
   // order, so every gather below is a fixed-order sum.
   std::vector<std::size_t> cursor(in_row_ptr_.begin(), in_row_ptr_.end() - 1);
+  lower_bandwidth_ = 0;
+  upper_bandwidth_ = 0;
   for (std::size_t e = 0; e < nnz; ++e) {
     const std::size_t pos = cursor[to_[e]]++;
     in_src_[pos] = from_[e];
     in_prob_[pos] = prob_[e];
     slot_to_pos_[e] = pos;
+    if (from_[e] > to_[e]) {
+      lower_bandwidth_ =
+          std::max<std::size_t>(lower_bandwidth_, from_[e] - to_[e]);
+    } else {
+      upper_bandwidth_ =
+          std::max<std::size_t>(upper_bandwidth_, to_[e] - from_[e]);
+    }
   }
   finalized_ = true;
 }
@@ -189,6 +198,83 @@ SparseChain::StationaryResult SparseChain::stationary(
     }
     std::swap(pi, next);
   }
+  result.distribution = std::move(pi);
+  return result;
+}
+
+SparseChain::StationaryResult SparseChain::stationary_direct() const {
+  assert(finalized_);
+  const std::size_t n = state_count();
+  if (n == 0) throw std::runtime_error("empty chain");
+  StationaryResult result;
+
+  // Row i keeps columns [i - lower, i + upper]; eliminating state k only
+  // touches rows and columns within the band of k, so nothing fills in
+  // outside it. The diagonal slot is never read: GTH works on exit mass.
+  const std::size_t lower = lower_bandwidth_;
+  const std::size_t upper = upper_bandwidth_;
+  const std::size_t width = lower + upper + 1;
+  std::vector<double> band(n * width, 0.0);
+  // Address of entry (i, j) for |i - j| within the band.
+  auto at = [&](std::size_t i, std::size_t j) {
+    return band.data() + i * width + lower + j - i;
+  };
+  for (std::size_t e = 0; e < prob_.size(); ++e) {
+    *at(from_[e], to_[e]) += prob_[e];
+  }
+
+  // Reduction: censor state k out of the chain on {0..k}. exit[k] is k's
+  // total mass into lower states; its row becomes the conditional exit
+  // distribution, and every state i that can enter k inherits the routes
+  // through it.
+  std::vector<double> exit(n, 0.0);
+  for (std::size_t k = n - 1; k > 0; --k) {
+    const std::size_t j0 = k > lower ? k - lower : 0;
+    const std::size_t i0 = k > upper ? k - upper : 0;
+    double* row_k = at(k, j0);
+    const std::size_t span = k - j0;
+    double mass = 0.0;
+    for (std::size_t j = 0; j < span; ++j) mass += row_k[j];
+    if (!(mass > 0.0)) return result;  // k cannot reach state 0
+    exit[k] = mass;
+    for (std::size_t j = 0; j < span; ++j) row_k[j] /= mass;
+    for (std::size_t i = i0; i < k; ++i) {
+      const double into_k = *at(i, k);
+      if (into_k == 0.0) continue;
+      double* row_i = at(i, j0);
+      for (std::size_t j = 0; j < span; ++j) row_i[j] += into_k * row_k[j];
+    }
+  }
+
+  // Back-substitution: pi_k * exit_k balances the mass entering k in the
+  // chain censored to {0..k}. Whenever the next entry would pass 2^500 all
+  // earlier ones are scaled down by 2^-500, so nothing overflows; entries
+  // that underflow are below double precision of the normalized answer.
+  constexpr double kHuge = 0x1p+500;
+  constexpr double kTiny = 0x1p-500;
+  std::vector<double> pi(n, 0.0);
+  pi[0] = 1.0;
+  for (std::size_t k = 1; k < n; ++k) {
+    const std::size_t i0 = k > upper ? k - upper : 0;
+    double entering = 0.0;
+    for (std::size_t i = i0; i < k; ++i) entering += pi[i] * *at(i, k);
+    while (entering > exit[k] * kHuge) {
+      for (std::size_t i = 0; i < k; ++i) pi[i] *= kTiny;
+      entering *= kTiny;
+    }
+    pi[k] = entering / exit[k];
+  }
+  double total = 0.0;
+  for (const double x : pi) total += x;
+  for (double& x : pi) x /= total;
+
+  std::vector<double> next;
+  step_into(pi, next);
+  for (std::size_t s = 0; s < n; ++s) {
+    result.residual += std::abs(next[s] - pi[s]);
+  }
+  result.iterations = 1;
+  result.converged = true;
   result.distribution = std::move(pi);
   return result;
 }

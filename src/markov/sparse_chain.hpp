@@ -101,6 +101,22 @@ class SparseChain {
       obs::SolverSink* telemetry = nullptr,
       std::string_view telemetry_name = "stationary") const;
 
+  // Direct stationary solve by GTH state reduction (Grassmann, Taksar and
+  // Heyman) in band storage: states are censored out from the last index
+  // down, then the distribution is rebuilt by back-substitution. The
+  // reduction is subtraction-free, so it stays accurate on nearly
+  // reducible chains where power iteration crawls, and it costs
+  // O(n * lower_bandwidth * upper_bandwidth): about 0.1 ms for 558 states
+  // whose transitions stay within 12 of the diagonal.
+  // Back-substitution rescales as it goes, so masses spanning more than
+  // the double range come out finite (the smallest underflow to zero).
+  // The result reports one iteration whose residual is ||pi P - pi||_1.
+  // `converged` is false, with an empty distribution, when some state
+  // cannot reach state 0 along positive transitions: the chain is then
+  // reducible (or its one recurrent class misses state 0) and the
+  // reduction has nothing to divide by.
+  [[nodiscard]] StationaryResult stationary_direct() const;
+
   // True if every state can reach every other along positive-probability
   // transitions (self-loops ignored) — irreducibility (Lemma 7.1 checks).
   [[nodiscard]] bool strongly_connected() const;
@@ -131,6 +147,10 @@ class SparseChain {
   std::vector<std::uint32_t> in_src_;
   std::vector<double> in_prob_;
   std::vector<std::size_t> slot_to_pos_;
+  // Largest from - to (lower) and to - from (upper) over stored
+  // transitions: the band stationary_direct() works in.
+  std::size_t lower_bandwidth_ = 0;
+  std::size_t upper_bandwidth_ = 0;
 
   bool finalized_ = false;
 };

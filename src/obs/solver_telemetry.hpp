@@ -1,7 +1,8 @@
 // Solver telemetry: a sink interface the iterative solvers (degree-MC
-// outer loop, stationary power iteration, Anderson mixing, spectral
-// power iteration) report per-iteration residuals and discrete events
-// (history resets, cooldowns, fallbacks) into.
+// outer loop and its direct inner solves, stationary power iteration,
+// Anderson mixing, spectral power iteration) report per-iteration
+// residuals and discrete events (history resets, cooldowns, fallbacks)
+// into.
 //
 // Solvers take a nullable SolverSink*; a null sink costs one branch per
 // iteration. Event names in use:
@@ -10,6 +11,9 @@
 //   "cooldown"       extrapolation declined: fewer than two secant pairs
 //   "degenerate"     extrapolation declined: ill-conditioned least squares
 //   "damped_step"    degree-MC outer loop fell back to the damped update
+//   "reducible_step" degree-MC outer loop rejected an extrapolated iterate
+//                    whose chain was reducible and took the damped update
+//                    from the last iterate that solved
 #pragma once
 
 #include <cstddef>

@@ -124,8 +124,8 @@ FlatRun::FlatRun(RunSpec spec)
     }
     driver_.attach_oracle(oracle_.get());
     if (spec_.retune) {
-      // The controller re-solves at candidate dL values live, so it goes
-      // through the mean-field fast path.
+      // The controller re-solves at candidate dL values live, through the
+      // mean-field path.
       retune_ = std::make_unique<RetuneController>(
           RetuneConfig{},
           [](std::size_t s, std::size_t dl, double loss, double delta) {

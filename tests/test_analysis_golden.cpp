@@ -69,12 +69,10 @@ TEST(AnalysisGolden, Fig63IndegreeMomentsWarmSweep) {
 }
 
 TEST(AnalysisGolden, Fig63DampedBaselineAgrees) {
-  // The seed-faithful configuration (damped outer, plain inner power
-  // iteration) must still reproduce the same goldens: the acceleration is
-  // an optimization, not a different model.
+  // The seed-faithful damped outer loop must still reproduce the same
+  // goldens: the acceleration is an optimization, not a different model.
   DegreeMcParams p;
   p.acceleration = DegreeMcAcceleration::kDamped;
-  p.accelerated_stationary = false;
   p.loss = 0.01;
   const auto r = solve_degree_mc(p);
   ASSERT_TRUE(r.converged);

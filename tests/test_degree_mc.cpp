@@ -176,11 +176,45 @@ TEST(DegreeMc, ConvergenceDiagnosticsArePopulated) {
   ASSERT_TRUE(r.converged);
   EXPECT_GT(r.fixed_point_iterations, 0u);
   EXPECT_LE(r.fixed_point_iterations, DegreeMcParams{}.max_fixed_point_iterations);
-  // Inner power-iteration steps accumulate across outer iterations, so
-  // there are strictly more of them than outer steps.
-  EXPECT_GT(r.stationary_iterations, r.fixed_point_iterations);
+  // One direct stationary solve per outer iteration, each exact to
+  // rounding.
+  EXPECT_EQ(r.stationary_iterations, r.fixed_point_iterations);
   EXPECT_LE(r.fixed_point_residual, DegreeMcParams{}.fixed_point_tolerance);
-  EXPECT_LE(r.stationary_residual, DegreeMcParams{}.stationary_tolerance);
+  EXPECT_LE(r.stationary_residual, 1e-13);
+}
+
+// ℓ = 0.98 leaves ℓ + δ just inside 1: the chain's drift almost vanishes,
+// and an extrapolated outer iterate can zero every o > dL entry, leaving
+// a reducible chain whose stationary laws are bogus fixed points (e.g.
+// E[in] = 26 at s = 20). The pinned answers come from the inner
+// power-iteration solver that converged there in millions of steps.
+struct BoundaryPin {
+  std::size_t view_size;
+  std::size_t min_degree;
+  double expected_out;
+  double expected_in;
+  double duplication;
+};
+
+TEST(DegreeMc, AnswersAtTheLossBoundary) {
+  const BoundaryPin pins[] = {
+      {20, 8, 8.025205008043, 8.026767896546, 0.980012674240},
+      {40, 18, 18.032713907506, 18.032798125602, 0.980000329163},
+  };
+  for (const BoundaryPin& pin : pins) {
+    DegreeMcParams p;
+    p.view_size = pin.view_size;
+    p.min_degree = pin.min_degree;
+    p.loss = 0.98;
+    const auto r = solve_degree_mc(p);
+    ASSERT_TRUE(r.converged) << "s=" << pin.view_size;
+    EXPECT_NEAR(r.expected_out, pin.expected_out, 1e-8)
+        << "s=" << pin.view_size;
+    EXPECT_NEAR(r.expected_in, pin.expected_in, 1e-8)
+        << "s=" << pin.view_size;
+    EXPECT_NEAR(r.duplication_probability, pin.duplication, 1e-8)
+        << "s=" << pin.view_size;
+  }
 }
 
 TEST(DegreeMc, SweepMatchesPerPointSolves) {

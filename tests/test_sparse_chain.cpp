@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <vector>
@@ -259,6 +261,105 @@ TEST(SparseChainTest, AcceleratedStationaryMatchesPlain) {
     EXPECT_NEAR(accel.distribution[i], plain.distribution[i], 1e-9)
         << "i=" << i;
   }
+}
+
+// Random chains whose transitions stay within `half_width` of the
+// diagonal; nearest-neighbour moves both ways keep them irreducible.
+SparseChain random_banded_chain(Rng& rng, std::size_t n,
+                                std::size_t half_width) {
+  SparseChain chain(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) chain.add(i, i - 1, 0.05 + 0.1 * rng.uniform_double());
+    if (i + 1 < n) chain.add(i, i + 1, 0.05 + 0.1 * rng.uniform_double());
+    for (std::size_t j = 0; j < 3; ++j) {
+      const std::size_t lo = i > half_width ? i - half_width : 0;
+      const std::size_t hi = std::min(n - 1, i + half_width);
+      chain.add(i, lo + rng.uniform(hi - lo + 1), 0.2 * rng.uniform_double());
+    }
+  }
+  chain.finalize();
+  return chain;
+}
+
+TEST(SparseChainTest, DirectStationaryMatchesPowerIterationOnBandedChains) {
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u}) {
+    Rng rng(seed);
+    const std::size_t n = 30 + rng.uniform(90);
+    const std::size_t half_width = 4 + rng.uniform(10);
+    const SparseChain chain = random_banded_chain(rng, n, half_width);
+    const auto direct = chain.stationary_direct();
+    const auto power = chain.stationary({}, 1e-15, 2'000'000, true);
+    ASSERT_TRUE(direct.converged) << "seed=" << seed;
+    ASSERT_TRUE(power.converged) << "seed=" << seed;
+    EXPECT_EQ(direct.iterations, 1u);
+    EXPECT_LT(direct.residual, 1e-14) << "seed=" << seed;
+    double l1 = 0.0;
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      l1 += std::abs(direct.distribution[i] - power.distribution[i]);
+      total += direct.distribution[i];
+    }
+    EXPECT_LT(l1, 1e-12) << "seed=" << seed << " n=" << n;
+    EXPECT_NEAR(total, 1.0, 1e-14);
+  }
+}
+
+TEST(SparseChainTest, DirectStationaryOfBirthDeathSpanningTheDoubleRange) {
+  // pi_k ∝ r^k with r = up/down. Over 400 states the masses span ~1e-680
+  // either way; rebuilding them from state 0 upward must rescale instead
+  // of overflowing, and the smallest masses underflow to zero.
+  constexpr std::size_t n = 400;
+  for (const double r : {50.0, 0.02}) {
+    const double up = r > 1.0 ? 0.5 : 0.01;
+    const double down = up / r;
+    SparseChain chain(n);
+    for (std::size_t k = 0; k + 1 < n; ++k) {
+      chain.add(k, k + 1, up);
+      chain.add(k + 1, k, down);
+    }
+    chain.finalize();
+    const auto result = chain.stationary_direct();
+    ASSERT_TRUE(result.converged) << "r=" << r;
+    // Closed form, normalized against the heaviest end in log space.
+    const double heavy = r > 1.0 ? static_cast<double>(n - 1) : 0.0;
+    const double q = r > 1.0 ? 1.0 / r : r;
+    const double norm = (1.0 - q) / (1.0 - std::pow(q, n));
+    double l1 = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double got = result.distribution[k];
+      ASSERT_TRUE(std::isfinite(got)) << "r=" << r << " k=" << k;
+      const double expect =
+          norm * std::pow(r, static_cast<double>(k) - heavy);
+      l1 += std::abs(got - expect);
+      if (expect > 1e-290) {
+        EXPECT_NEAR(got, expect, 1e-12 * expect) << "r=" << r << " k=" << k;
+      }
+    }
+    EXPECT_LT(l1, 1e-14) << "r=" << r;
+  }
+}
+
+TEST(SparseChainTest, DirectStationaryFlagsReducibleChains) {
+  // Two closed classes, {0, 1} and {2, 3}: no unique stationary law.
+  SparseChain chain(4);
+  chain.add(0, 1, 0.4);
+  chain.add(1, 0, 0.3);
+  chain.add(2, 3, 0.2);
+  chain.add(3, 2, 0.6);
+  chain.finalize();
+  const auto result = chain.stationary_direct();
+  EXPECT_FALSE(result.converged);
+  EXPECT_TRUE(result.distribution.empty());
+  EXPECT_FALSE(std::isnan(result.residual));
+}
+
+TEST(SparseChainTest, DirectStationaryOfOneStateChain) {
+  SparseChain chain(1);
+  chain.finalize();
+  const auto result = chain.stationary_direct();
+  ASSERT_TRUE(result.converged);
+  ASSERT_EQ(result.distribution.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.distribution[0], 1.0);
 }
 
 }  // namespace

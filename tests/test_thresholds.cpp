@@ -101,11 +101,6 @@ TEST(Thresholds, ValidationAtTheLossBoundary) {
   const std::vector<double> at_boundary{0.99};  // ℓ + δ == 1
   EXPECT_THROW((void)validate_thresholds_under_loss(sel, delta, at_boundary),
                std::invalid_argument);
-  // The near-boundary chain mixes glacially (its drift vanishes as
-  // ℓ + δ → 1), so solve the inside point on the reduced box to keep the
-  // suite fast; the validity region does not depend on (s, dL).
-  sel.min_degree = 8;
-  sel.view_size = 20;
   const std::vector<double> inside{0.98};  // ℓ + δ = 0.99 < 1
   const auto checks = validate_thresholds_under_loss(sel, delta, inside);
   ASSERT_EQ(checks.size(), 1u);

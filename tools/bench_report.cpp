@@ -26,10 +26,10 @@
 // not parallel hardware, and must not be read as core-scaling numbers.
 //
 // Analysis mode benchmarks the §6/§7 solver stack: the §6.2 degree-MC
-// ℓ-sweep solved twice — once with the seed-faithful baseline
-// configuration (damped outer fixed point, classic inner power iteration,
-// cold start per point) and once with the accelerated pipeline (Anderson
-// outer + Anderson inner + warm-started sweep) — plus the exhaustive §7
+// ℓ-sweep solved twice — once with the seed-faithful baseline outer loop
+// (damped fixed point, cold start per point) and once with the
+// accelerated pipeline (Anderson outer + warm-started sweep), both on the
+// direct banded inner solve — plus the exhaustive §7
 // global MC build, the §7.5 mixing measurement, and the spectral-gap
 // power iteration. Solutions of the two degree-MC configurations are
 // cross-checked in-process (max mean-indegree difference is part of the
@@ -493,14 +493,13 @@ DegreePoint degree_point(double loss, double seconds,
                      std::sqrt(var)};
 }
 
-// The seed-faithful baseline: damped outer fixed point, classic inner
-// power iteration, every loss point solved cold.
+// The seed-faithful outer loop: damped fixed point, every loss point
+// solved cold.
 DegreeRun run_degree_baseline(analysis::DegreeMcParams params,
                               const std::vector<double>& losses) {
   params.acceleration = analysis::DegreeMcAcceleration::kDamped;
-  params.accelerated_stationary = false;
   DegreeRun run;
-  run.solver = "damped_outer+power_inner+cold_start";
+  run.solver = "damped_outer+direct_inner+cold_start";
   for (const double loss : losses) {
     params.loss = loss;
     const auto start = Clock::now();
@@ -513,12 +512,12 @@ DegreeRun run_degree_baseline(analysis::DegreeMcParams params,
   return run;
 }
 
-// The accelerated pipeline: Anderson outer + Anderson inner, one solver,
-// warm-started across the sweep.
+// The accelerated pipeline: Anderson outer, one solver, warm-started
+// across the sweep.
 DegreeRun run_degree_accelerated(const analysis::DegreeMcParams& params,
                                  const std::vector<double>& losses) {
   DegreeRun run;
-  run.solver = "anderson_outer+anderson_inner+warm_sweep";
+  run.solver = "anderson_outer+direct_inner+warm_sweep";
   const auto start = Clock::now();
   const auto results = analysis::solve_degree_mc_sweep(params, losses);
   run.seconds = std::chrono::duration<double>(Clock::now() - start).count();
@@ -537,7 +536,7 @@ bool emit_analysis_json(bool quick, const std::string& path) {
       quick ? std::vector<double>{0.0, 0.05}
             : std::vector<double>{0.0, 0.01, 0.05, 0.1};
 
-  std::printf("degree MC baseline (damped, power, cold)...\n");
+  std::printf("degree MC baseline (damped, cold)...\n");
   const DegreeRun before = run_degree_baseline(dp, losses);
   std::printf("  %.3f s, outer %zu, inner %zu\n", before.seconds,
               before.total_outer(), before.total_inner());

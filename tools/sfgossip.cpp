@@ -104,8 +104,8 @@ int usage() {
 
 // The --retune mode: a flat S&F overlay on the sharded driver with the
 // theory oracle watching and the §6.3 controller closing the loop. The
-// oracle is primed through the mean-field fast path (the exact MC would
-// be too slow to re-solve live), and an optional scripted loss spike
+// oracle is primed through the mean-field path, the solver the controller
+// re-solves with, and an optional scripted loss spike
 // demonstrates the retune: the controller re-estimates ℓ̂, installs a
 // compliant dL, and the run ends with zero drift violations.
 int cmd_simulate_retune(const ArgParser& args) {
