@@ -212,7 +212,9 @@ BENCHMARK(BM_FlatShardedRound)
     ->Args({10000, 1})
     ->Args({10000, 4})
     ->Args({100000, 1})
-    ->Args({100000, 4});
+    ->Args({100000, 4})
+    ->Args({1000000, 1})
+    ->Args({1000000, 4});
 
 // Registry hot path: the per-shard counter increment, through the public
 // API and through the cached raw slab pointer (the path the sharded driver

@@ -208,14 +208,28 @@ class FlatSendForgetCluster {
   }
   [[nodiscard]] std::size_t view_size() const { return view_size_; }
 
-  // Hints a node's liveness byte, degree, and first slot-row line toward
-  // cache. The driver issues this for a message's receiver as soon as the
-  // destination is known, so the (random-access) fetch overlaps the loss
-  // draw / frame walk instead of stalling delivery. No architectural effect.
-  void prefetch_node(NodeId u) const {
+  // Hints a node's liveness byte, degree, and every line of its slot row
+  // toward cache: a 160-byte row at a 160-byte stride always spans 3 lines,
+  // and receive()'s empty-slot probes may land on any of them. The driver
+  // issues this for a message's receiver as soon as the destination is
+  // known, so the random-access fetch overlaps the fault/loss draws or the
+  // frame walk instead of stalling delivery. No architectural effect.
+  //
+  // always_inline is load-bearing: GCC finds that a function whose only
+  // effects are prefetches is pure and deletes every call to it that it
+  // did not inline early, hint and all. The prefetch_codegen test checks
+  // that a call still emits a prefetch instruction.
+  [[gnu::always_inline]] void prefetch_node(NodeId u) const {
     __builtin_prefetch(&live_[u]);
     __builtin_prefetch(&degree_[u]);
-    __builtin_prefetch(view(u));
+    constexpr std::uintptr_t kLine = 64;
+    const auto first = reinterpret_cast<std::uintptr_t>(view(u));
+    const std::uintptr_t last =
+        first + view_size_ * sizeof(PackedViewEntry) - 1;
+    for (std::uintptr_t line = first & ~(kLine - 1); line <= last;
+         line += kLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    }
   }
 
   // Uniformly random live node; requires live_count() > 0.

@@ -186,9 +186,13 @@ void ShardedDriver::initiate_phase(std::size_t shard,
       continue;
     }
     ++produced;
-    // Start pulling the receiver's row while the fault/loss draws run; on a
-    // drop the hint is wasted but the draw order is untouched either way.
-    cluster_.prefetch_node(msg.to);
+    // An own-shard receiver is delivered inline below: start pulling its
+    // row while the fault/loss draws run (on a drop the hint is wasted; the
+    // draw order is untouched either way). A cross-shard receiver's row is
+    // written by its owner, which prefetches it in drain_phase; hinting it
+    // here would only pull the owner's lines over to this core.
+    const std::size_t dst = single_shard ? shard : shard_of(msg.to);
+    if (dst == shard) cluster_.prefetch_node(msg.to);
     if constexpr (kCount) {
       if (result == FlatInitiateResult::kSentDuplicated) ++lc.duplications;
     }
@@ -225,7 +229,6 @@ void ShardedDriver::initiate_phase(std::size_t shard,
       }
       continue;
     }
-    const std::size_t dst = single_shard ? shard : shard_of(msg.to);
     if (dst == shard) {
       deliver<kCount, kRecord>(shard, msg, lc, round,
                                kRecord ? &*writer : nullptr);

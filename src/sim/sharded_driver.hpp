@@ -14,7 +14,9 @@
 //     its own live set. Message loss is sampled at send time from the
 //     shard's RNG. Surviving intra-shard messages are delivered inline;
 //     surviving cross-shard messages are appended to the (sender, receiver)
-//     mailbox as fixed-size batch frames.
+//     mailbox as fixed-size batch frames. Only an own-shard receiver's row
+//     is prefetched at send time; a cross-shard receiver's row belongs to
+//     another worker and is prefetched by its owner during the drain.
 //   -- barrier --
 //   phase B (drain): each shard drains its inbound mailboxes in sender-
 //     shard order, walking whole frames per destination run, and delivers
@@ -180,7 +182,7 @@ class ShardedDriver : private ObserverSet {
   [[nodiscard]] std::size_t shard_of(NodeId u) const {
     if (nodes_per_shard_ == 1) return u;
     return static_cast<std::size_t>(
-        (static_cast<unsigned __int128>(shard_magic_) * u) >> 64);
+        (static_cast<__uint128_t>(shard_magic_) * u) >> 64);
   }
   // Effective worker-thread count (config.thread_count, defaulted).
   [[nodiscard]] std::size_t thread_count() const { return threads_; }

@@ -303,7 +303,9 @@ void expect_probe_matches_serial(Overlay overlay, std::size_t shards,
       for (const NodeId id : cluster.view_ids(v)) stale_refs += id == u;
     }
   }
-  if (overlay == Overlay::kChurned) EXPECT_GT(stale_refs, 0u);
+  if (overlay == Overlay::kChurned) {
+    EXPECT_GT(stale_refs, 0u);
+  }
   if (overlay == Overlay::kDisconnected) {
     // Island 0 holds the 1'203 nodes u with u % 5 < 3.
     EXPECT_EQ(recovery.component_fraction(), 1'203.0 / 2'003.0);

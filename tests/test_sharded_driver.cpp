@@ -106,7 +106,9 @@ TEST(FlatSendForget, ReceivingOwnIdCreatesDependentSelfEdge) {
   msg.ids[1] = PackedViewEntry::pack(4, false);
   cluster.receive(4, msg, rng);
   for (const ViewEntry& e : cluster.view_entries(4)) {
-    if (e.id == 4) EXPECT_TRUE(e.dependent);
+    if (e.id == 4) {
+      EXPECT_TRUE(e.dependent);
+    }
   }
 }
 
