@@ -10,7 +10,6 @@
 
 #include "analysis/degree_analytical.hpp"
 #include "analysis/degree_mc.hpp"
-#include "analysis/mean_field.hpp"
 #include "analysis/prediction.hpp"
 #include "common/rng.hpp"
 #include "core/flat_send_forget.hpp"
@@ -414,44 +413,15 @@ void BM_DegreeMcAnderson(benchmark::State& state) {
 }
 BENCHMARK(BM_DegreeMcAnderson)->Unit(benchmark::kMillisecond);
 
-// Mean-field fast path at the same reduced point as BM_DegreeMcAnderson:
-// the ratio of the two is the single-point speedup the prediction layer
-// rides on (the committed ≥ 50x gate in BENCH_analysis.json is measured on
-// the full paper box, where the gap is wider still).
-void BM_MeanFieldSolve(benchmark::State& state) {
-  const auto mf = analysis::mean_field_params(
-      micro_degree_params(analysis::DegreeMcAcceleration::kAnderson));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::solve_mean_field(mf));
-  }
-}
-BENCHMARK(BM_MeanFieldSolve)->Unit(benchmark::kMicrosecond);
-
-// Prediction cache, miss path: every iteration clears the cache and pays
-// one full mean-field solve plus the insert.
-void BM_PredictionCacheMiss(benchmark::State& state) {
-  const auto params =
-      micro_degree_params(analysis::DegreeMcAcceleration::kAnderson);
-  for (auto _ : state) {
-    analysis::clear_prediction_cache();
-    benchmark::DoNotOptimize(analysis::make_theory_prediction(
-        params, 0.01, analysis::PredictionSource::kMeanField));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PredictionCacheMiss)->Unit(benchmark::kMicrosecond);
-
 // Prediction cache, hit path: the steady state of the retune controller's
 // re-solves — a mutex-guarded map lookup plus one TheoryPrediction copy.
 void BM_PredictionCacheHit(benchmark::State& state) {
   const auto params =
       micro_degree_params(analysis::DegreeMcAcceleration::kAnderson);
   analysis::clear_prediction_cache();
-  benchmark::DoNotOptimize(analysis::make_theory_prediction(
-      params, 0.01, analysis::PredictionSource::kMeanField));
+  benchmark::DoNotOptimize(analysis::make_theory_prediction(params, 0.01));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::make_theory_prediction(
-        params, 0.01, analysis::PredictionSource::kMeanField));
+    benchmark::DoNotOptimize(analysis::make_theory_prediction(params, 0.01));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "analysis/independence.hpp"
-#include "analysis/mean_field.hpp"
 
 namespace gossip::analysis {
 namespace {
@@ -21,8 +20,7 @@ using CacheKey = std::tuple<std::size_t,     // view_size
                             std::uint64_t,   // loss bits
                             std::size_t,     // sum_degree_cap
                             std::uint64_t,   // fixed_sum_degree (+1, 0=none)
-                            std::uint64_t,   // delta bits
-                            int>;            // source
+                            std::uint64_t>;  // delta bits
 
 struct PredictionCache {
   std::mutex mutex;
@@ -36,8 +34,7 @@ PredictionCache& cache() {
   return instance;
 }
 
-CacheKey make_key(const DegreeMcParams& params, double delta,
-                  PredictionSource source) {
+CacheKey make_key(const DegreeMcParams& params, double delta) {
   const std::uint64_t fixed =
       params.fixed_sum_degree
           ? static_cast<std::uint64_t>(*params.fixed_sum_degree) + 1
@@ -47,35 +44,23 @@ CacheKey make_key(const DegreeMcParams& params, double delta,
           std::bit_cast<std::uint64_t>(params.loss),
           params.sum_degree_cap,
           fixed,
-          std::bit_cast<std::uint64_t>(delta),
-          static_cast<int>(source)};
+          std::bit_cast<std::uint64_t>(delta)};
 }
 
 obs::TheoryPrediction solve_prediction(const DegreeMcParams& params,
-                                       double delta,
-                                       PredictionSource source) {
+                                       double delta) {
   obs::TheoryPrediction pred;
   pred.loss = params.loss;
   pred.delta = delta;
   pred.view_size = params.view_size;
   pred.min_degree = params.min_degree;
-  if (source == PredictionSource::kMeanField) {
-    MeanFieldResult mf = solve_mean_field(mean_field_params(params));
-    pred.out_pmf = std::move(mf.out_pmf);
-    pred.in_pmf = std::move(mf.in_pmf);
-    pred.expected_out = mf.expected_out;
-    pred.expected_in = mf.expected_in;
-    pred.duplication_probability = mf.duplication_probability;
-    pred.deletion_probability = mf.deletion_probability;
-  } else {
-    DegreeMcResult mc = solve_degree_mc(params);
-    pred.out_pmf = std::move(mc.out_pmf);
-    pred.in_pmf = std::move(mc.in_pmf);
-    pred.expected_out = mc.expected_out;
-    pred.expected_in = mc.expected_in;
-    pred.duplication_probability = mc.duplication_probability;
-    pred.deletion_probability = mc.deletion_probability;
-  }
+  DegreeMcResult mc = solve_degree_mc(params);
+  pred.out_pmf = std::move(mc.out_pmf);
+  pred.in_pmf = std::move(mc.in_pmf);
+  pred.expected_out = mc.expected_out;
+  pred.expected_in = mc.expected_in;
+  pred.duplication_probability = mc.duplication_probability;
+  pred.deletion_probability = mc.deletion_probability;
   pred.alpha_lower_bound = independence_lower_bound_simple(params.loss, delta);
   return pred;
 }
@@ -84,8 +69,8 @@ obs::TheoryPrediction solve_prediction(const DegreeMcParams& params,
 
 obs::TheoryPrediction make_theory_prediction(const DegreeMcParams& params,
                                              double delta,
-                                             PredictionSource source) {
-  const CacheKey key = make_key(params, delta, source);
+                                             PredictionSource /*source*/) {
+  const CacheKey key = make_key(params, delta);
   auto& c = cache();
   {
     std::lock_guard<std::mutex> lock(c.mutex);
@@ -97,7 +82,7 @@ obs::TheoryPrediction make_theory_prediction(const DegreeMcParams& params,
   // Solve outside the lock: concurrent misses on the same key race to
   // insert the identical (deterministic) answer, which is harmless and
   // keeps slow exact solves from serializing unrelated lookups.
-  obs::TheoryPrediction pred = solve_prediction(params, delta, source);
+  obs::TheoryPrediction pred = solve_prediction(params, delta);
   std::lock_guard<std::mutex> lock(c.mutex);
   const auto [it, inserted] = c.entries.emplace(key, std::move(pred));
   ++c.misses;

@@ -3,16 +3,13 @@
 // so the oracle's input is produced here — one §6.2 stationary solve plus
 // the Lemma 7.9 closed-form bound, packed into plain data.
 //
-// Two solver backends produce the same prediction contract:
-//  * kExactMc — the full degree-MC fixed point (analysis/degree_mc),
-//    about 3 ms at s=40, dL=18 on its direct banded inner solve;
-//  * kMeanField — the mean-field approximation (analysis/mean_field),
-//    within the contract tolerances (degree TVD <= 5e-3, dup/del rates
-//    <= 2%), at about the cost of the exact solve on the paper box.
+// The §6.2 answer comes from one solver, the degree-MC fixed point
+// (analysis/degree_mc): about 2 ms at s=40, dL=18 on its direct banded
+// inner solve (DESIGN.md §6, "One §6.2 solver").
 //
 // Solved predictions are memoized in a process-wide cache keyed on the
-// model-defining parameters (box, loss, truncation, fixed-sum line, delta,
-// source), so repeated requests for the same point — the oracle setup in
+// model-defining parameters (box, loss, truncation, fixed-sum line,
+// delta), so repeated requests for the same point — the oracle setup in
 // bench_report, sfgossip, and the retuning controller's re-solves — pay
 // for the stationary solve once.
 #pragma once
@@ -24,19 +21,19 @@
 
 namespace gossip::analysis {
 
+// The solver behind a prediction. kExactMc is the only one; the enum and
+// make_theory_prediction's `source` argument stay because the benchmark
+// harness (perfbench/sfbench.cpp) names them.
 enum class PredictionSource {
-  kExactMc,    // solve_degree_mc: reference answer, ~ms
-  kMeanField,  // solve_mean_field: contract-accurate, ~ms
+  kExactMc,  // solve_degree_mc
 };
 
-// Solves the stationary degree model at `params` with the chosen backend
-// and packages the marginals, action-outcome probabilities, and the
-// α ≥ 1 − 2(ℓ+δ) bound for the TheoryOracle. Results are served from the
-// process-wide cache when the same (params, delta, source) point was
-// solved before; solver tuning fields (tolerances, acceleration) are not
-// part of the key. Propagates the solver's exceptions on bad parameters —
-// in particular kMeanField rejects fixed_sum_degree (the §6.1 line chain
-// does not factorize).
+// Solves the stationary degree model at `params` and packages the
+// marginals, action-outcome probabilities, and the α ≥ 1 − 2(ℓ+δ) bound
+// for the TheoryOracle. Results are served from the process-wide cache
+// when the same (params, delta) point was solved before; solver tuning
+// fields (tolerances, acceleration) are not part of the key. Propagates
+// the solver's exceptions on bad parameters.
 [[nodiscard]] obs::TheoryPrediction make_theory_prediction(
     const DegreeMcParams& params, double delta = 0.01,
     PredictionSource source = PredictionSource::kExactMc);

@@ -21,7 +21,7 @@
 //      pre-drift traffic. Once the estimate plateaus (the newest
 //      inter-probe estimate agrees with the window), re-solve the
 //      stationary prediction at (s, dL′, ℓ̂) over ascending even dL′ via
-//      the injected solver (wired to the mean-field fast path — ~ms per
+//      the injected solver (wired to the exact §6.2 solve — ~ms per
 //      candidate, cache-served on repeats) and pick the smallest dL′
 //      whose predicted E[out] is within `degree_margin` of the original
 //      target while the predicted duplication stays inside the Lemma 6.7
@@ -43,7 +43,7 @@
 //
 // The solver is injected as a callback so gossip_sim keeps its dependency
 // surface: the analysis library (which links nothing of sim) provides the
-// mean-field solve at the tool layer; sim only sees obs::TheoryPrediction.
+// §6.2 solve at the tool layer; sim only sees obs::TheoryPrediction.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/prediction.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "graph/graph_gen.hpp"
@@ -46,14 +47,12 @@ std::ofstream open_if_named(const std::string& path,
 }  // namespace
 
 obs::TheoryPrediction theory_prediction(const SendForgetConfig& protocol,
-                                        double loss,
-                                        analysis::PredictionSource source,
-                                        double delta) {
+                                        double loss, double delta) {
   analysis::DegreeMcParams params;
   params.view_size = protocol.view_size;
   params.min_degree = protocol.min_degree;
   params.loss = loss;
-  return analysis::make_theory_prediction(params, delta, source);
+  return analysis::make_theory_prediction(params, delta);
 }
 
 std::ofstream open_output(const std::string& path, std::ios::openmode mode) {
@@ -125,12 +124,11 @@ FlatRun::FlatRun(RunSpec spec)
     driver_.attach_oracle(oracle_.get());
     if (spec_.retune) {
       // The controller re-solves at candidate dL values live, through the
-      // mean-field path.
+      // exact §6.2 solve (~ms per candidate, cache-served on repeats).
       retune_ = std::make_unique<RetuneController>(
           RetuneConfig{},
           [](std::size_t s, std::size_t dl, double loss, double delta) {
             return theory_prediction({.view_size = s, .min_degree = dl}, loss,
-                                     analysis::PredictionSource::kMeanField,
                                      delta);
           },
           [this](std::size_t dl) { cluster_.set_min_degree(dl); });

@@ -30,7 +30,6 @@
 #include <sstream>
 #include <string>
 
-#include "analysis/prediction.hpp"
 #include "core/flat_send_forget.hpp"
 #include "core/send_forget.hpp"
 #include "obs/export/snapshot.hpp"
@@ -105,8 +104,7 @@ struct RunSpec {
 
 // The §6.2 prediction at (s, dL, loss, δ).
 [[nodiscard]] obs::TheoryPrediction theory_prediction(
-    const SendForgetConfig& protocol, double loss,
-    analysis::PredictionSource source, double delta = 0.01);
+    const SendForgetConfig& protocol, double loss, double delta = 0.01);
 
 // Opens `path` for writing; throws CliError naming it when it cannot.
 [[nodiscard]] std::ofstream open_output(

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,6 +77,52 @@ TEST(TheoryPrediction, BridgePackagesPaperPredictions) {
   EXPECT_DOUBLE_EQ(pred.alpha_lower_bound,
                    1.0 - 2.0 * (pred.loss + pred.delta));
 }
+
+// The cold points the CLI solves: chaos/simulate --retune/top around the
+// paper box, the retune pin's installed dL=22 at ℓ̂≈0.128, and a wide view
+// (`sfgossip top --view-size 80 --min-degree 38`). Each solve must land
+// in the Lemma 6.7 band.
+struct ColdPoint {
+  std::size_t view_size;
+  std::size_t min_degree;
+  double loss;
+};
+
+void PrintTo(const ColdPoint& p, std::ostream* os) {
+  *os << "s=" << p.view_size << " dL=" << p.min_degree << " loss=" << p.loss;
+}
+
+class TheoryPredictionColdPoint : public testing::TestWithParam<ColdPoint> {};
+
+TEST_P(TheoryPredictionColdPoint, DuplicationInLemma67Band) {
+  const ColdPoint point = GetParam();
+  analysis::clear_prediction_cache();
+  analysis::DegreeMcParams params;
+  params.view_size = point.view_size;
+  params.min_degree = point.min_degree;
+  params.loss = point.loss;
+  const obs::TheoryPrediction pred = analysis::make_theory_prediction(params);
+  ASSERT_TRUE(pred.valid());
+  EXPECT_NEAR(std::accumulate(pred.out_pmf.begin(), pred.out_pmf.end(), 0.0),
+              1.0, 1e-9);
+  EXPECT_GE(pred.expected_out, static_cast<double>(point.min_degree));
+  EXPECT_GE(pred.duplication_probability, point.loss);
+  EXPECT_LE(pred.duplication_probability, point.loss + pred.delta);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CliPoints, TheoryPredictionColdPoint,
+    testing::Values(ColdPoint{40, 18, 0.005}, ColdPoint{40, 18, 0.01},
+                    ColdPoint{40, 18, 0.02}, ColdPoint{40, 22, 0.128},
+                    ColdPoint{80, 38, 0.01}),
+    [](const testing::TestParamInfo<ColdPoint>& info) {
+      const ColdPoint& p = info.param;
+      std::string loss = std::to_string(p.loss);  // "0.005000"
+      loss.erase(loss.find_last_not_of('0') + 1);
+      loss[1] = 'p';
+      return "s" + std::to_string(p.view_size) + "_dL" +
+             std::to_string(p.min_degree) + "_loss" + loss;
+    });
 
 // ---------------------------------------------------------------------------
 // DriftMonitor hysteresis.

@@ -30,17 +30,16 @@ using obs::DriftState;
 using sim::RetuneConfig;
 using sim::RetuneController;
 
-// The solver callback wired the same way the tools wire it: the mean-field
-// fast path through the prediction cache.
-obs::TheoryPrediction mean_field_solver(std::size_t view_size,
-                                        std::size_t min_degree, double loss,
-                                        double delta) {
+// The solver callback wired the same way the tools wire it: the exact
+// §6.2 solve through the prediction cache.
+obs::TheoryPrediction exact_solver(std::size_t view_size,
+                                   std::size_t min_degree, double loss,
+                                   double delta) {
   analysis::DegreeMcParams params;
   params.view_size = view_size;
   params.min_degree = min_degree;
   params.loss = loss;
-  return analysis::make_theory_prediction(
-      params, delta, analysis::PredictionSource::kMeanField);
+  return analysis::make_theory_prediction(params, delta);
 }
 
 RetuneConfig test_retune_config() {
@@ -101,15 +100,14 @@ SpikeRunResult spike_run(Controller mode, std::uint64_t seed = 33,
   obs::OracleConfig oracle_config;
   oracle_config.warmup_rounds = 300;
   oracle_config.min_sent_for_rates = 10'000;
-  obs::TheoryOracle oracle(mean_field_solver(cfg.view_size, cfg.min_degree,
-                                             0.01, 0.01),
-                           oracle_config);
+  obs::TheoryOracle oracle(
+      exact_solver(cfg.view_size, cfg.min_degree, 0.01, 0.01), oracle_config);
   driver.attach_oracle(&oracle);
 
   RetuneConfig retune_config = test_retune_config();
   retune_config.dry_run = mode == Controller::kDryRun;
   RetuneController controller(
-      retune_config, mean_field_solver,
+      retune_config, exact_solver,
       [&cluster](std::size_t dl) { cluster.set_min_degree(dl); });
   if (mode != Controller::kNone) {
     controller.bind_oracle(&oracle);

@@ -88,7 +88,6 @@
 
 #include "analysis/degree_mc.hpp"
 #include "analysis/global_mc.hpp"
-#include "analysis/mean_field.hpp"
 #include "analysis/mixing.hpp"
 #include "analysis/prediction.hpp"
 #include "core/baselines/all_to_all.hpp"
@@ -463,6 +462,7 @@ struct DegreePoint {
   std::size_t inner = 0;
   double mean_in = 0.0;
   double sd_in = 0.0;
+  bool converged = false;
 };
 
 struct DegreeRun {
@@ -490,7 +490,7 @@ DegreePoint degree_point(double loss, double seconds,
   }
   return DegreePoint{loss,       seconds,          r.fixed_point_iterations,
                      r.stationary_iterations, r.expected_in,
-                     std::sqrt(var)};
+                     std::sqrt(var), r.converged};
 }
 
 // The seed-faithful outer loop: damped fixed point, every loss point
@@ -552,78 +552,14 @@ bool emit_analysis_json(bool quick, const std::string& path) {
         std::abs(before.points[i].mean_in - after.points[i].mean_in));
   }
 
-  // Mean-field fast path: same box, same ℓ points, timed against the
-  // accelerated exact sweep above and validated per point (degree-marginal
-  // TVD, dup/del relative error) against exact solves.
-  std::printf("mean-field fast path...\n");
-  const analysis::MeanFieldParams mf_params = analysis::mean_field_params(dp);
-  const auto mf_start = Clock::now();
-  const auto mf_results = analysis::solve_mean_field_sweep(mf_params, losses);
-  const double mf_seconds =
-      std::chrono::duration<double>(Clock::now() - mf_start).count();
-  const double mf_speedup =
-      mf_seconds > 0.0 ? after.seconds / mf_seconds : 0.0;
-
-  struct MfPoint {
-    double loss = 0.0;
-    double tvd_out = 0.0;
-    double tvd_in = 0.0;
-    double dup_rel_err = 0.0;
-    double del_rel_err = 0.0;
-    bool converged = false;
-    std::size_t closure_iterations = 0;
-    std::size_t refinement_iterations = 0;
-  };
-  const auto tvd = [](const std::vector<double>& a,
-                      const std::vector<double>& b) {
-    double t = 0.0;
-    const std::size_t m = std::max(a.size(), b.size());
-    for (std::size_t k = 0; k < m; ++k) {
-      const double av = k < a.size() ? a[k] : 0.0;
-      const double bv = k < b.size() ? b[k] : 0.0;
-      t += std::abs(av - bv);
-    }
-    return 0.5 * t;
-  };
-  const auto rel_err = [](double approx, double exact) {
-    return exact > 0.0 ? std::abs(approx - exact) / exact
-                       : std::abs(approx - exact);
-  };
-  std::vector<MfPoint> mf_points;
-  {
-    const auto exact = analysis::solve_degree_mc_sweep(dp, losses);
-    for (std::size_t i = 0; i < losses.size(); ++i) {
-      MfPoint p;
-      p.loss = losses[i];
-      p.tvd_out = tvd(mf_results[i].out_pmf, exact[i].out_pmf);
-      p.tvd_in = tvd(mf_results[i].in_pmf, exact[i].in_pmf);
-      p.dup_rel_err = rel_err(mf_results[i].duplication_probability,
-                              exact[i].duplication_probability);
-      p.del_rel_err = rel_err(mf_results[i].deletion_probability,
-                              exact[i].deletion_probability);
-      p.converged = mf_results[i].converged;
-      p.closure_iterations = mf_results[i].closure_iterations;
-      p.refinement_iterations = mf_results[i].refinement_iterations;
-      mf_points.push_back(p);
-    }
-  }
-  double mf_max_tvd = 0.0;
-  for (const MfPoint& p : mf_points) {
-    mf_max_tvd = std::max(mf_max_tvd, std::max(p.tvd_out, p.tvd_in));
-  }
-  std::printf("  %.4f s (%.1fx vs exact sweep), max TVD %.2g\n", mf_seconds,
-              mf_speedup, mf_max_tvd);
-
-  // Prediction-cache demonstration: the first kMeanField call per (params,
-  // delta) solves, the repeat is served from the cache.
+  // Prediction cache: the first call per (params, delta) solves, the
+  // repeat is served from the cache.
   analysis::clear_prediction_cache();
   {
     analysis::DegreeMcParams cp = dp;
     cp.loss = losses.front();
-    (void)analysis::make_theory_prediction(
-        cp, 0.01, analysis::PredictionSource::kMeanField);
-    (void)analysis::make_theory_prediction(
-        cp, 0.01, analysis::PredictionSource::kMeanField);
+    (void)analysis::make_theory_prediction(cp, 0.01);
+    (void)analysis::make_theory_prediction(cp, 0.01);
   }
   const analysis::PredictionCacheStats cache_stats =
       analysis::prediction_cache_stats();
@@ -694,8 +630,10 @@ bool emit_analysis_json(bool quick, const std::string& path) {
       } else {
         std::snprintf(buf, sizeof(buf),
                       "        {\"loss\": %g, \"outer\": %zu, \"inner\": %zu, "
-                      "\"mean_in\": %.12f, \"sd_in\": %.12f}%s\n",
+                      "\"mean_in\": %.12f, \"sd_in\": %.12f, "
+                      "\"converged\": %s}%s\n",
                       p.loss, p.outer, p.inner, p.mean_in, p.sd_in,
+                      p.converged ? "true" : "false",
                       i + 1 < run.points.size() ? "," : "");
       }
       out << buf;
@@ -732,33 +670,8 @@ bool emit_analysis_json(bool quick, const std::string& path) {
                 wall_speedup, outer_ratio, inner_ratio, max_mean_diff);
   out << buf;
 
-  out << "  \"mean_field\": {\n";
-  out << "    \"view_size\": " << dp.view_size << ",\n";
-  out << "    \"min_degree\": " << dp.min_degree << ",\n";
   std::snprintf(buf, sizeof(buf),
-                "    \"seconds\": %.6f,\n"
-                "    \"exact_seconds\": %.6f,\n"
-                "    \"speedup_vs_exact\": %.2f,\n",
-                mf_seconds, after.seconds, mf_speedup);
-  out << buf;
-  out << "    \"points\": [\n";
-  for (std::size_t i = 0; i < mf_points.size(); ++i) {
-    const MfPoint& p = mf_points[i];
-    std::snprintf(buf, sizeof(buf),
-                  "      {\"loss\": %g, \"tvd_out\": %.3g, "
-                  "\"tvd_in\": %.3g, \"dup_rel_err\": %.3g, "
-                  "\"del_rel_err\": %.3g, \"converged\": %s, "
-                  "\"closure_iterations\": %zu, "
-                  "\"refinement_iterations\": %zu}%s\n",
-                  p.loss, p.tvd_out, p.tvd_in, p.dup_rel_err, p.del_rel_err,
-                  p.converged ? "true" : "false", p.closure_iterations,
-                  p.refinement_iterations,
-                  i + 1 < mf_points.size() ? "," : "");
-    out << buf;
-  }
-  out << "    ],\n";
-  std::snprintf(buf, sizeof(buf),
-                "    \"cache\": {\"hits\": %llu, \"misses\": %llu}\n  },\n",
+                "  \"prediction_cache\": {\"hits\": %llu, \"misses\": %llu},\n",
                 static_cast<unsigned long long>(cache_stats.hits),
                 static_cast<unsigned long long>(cache_stats.misses));
   out << buf;
@@ -1160,8 +1073,7 @@ bool emit_drift_json(bool quick, const std::string& path) {
   // Predictions at the paper's running example (s=40, dL=18) and ℓ = 0.02
   // — the same configuration every sharded bench simulates.
   const obs::TheoryPrediction pred = sim::theory_prediction(
-      default_send_forget_config(), 0.02,
-      analysis::PredictionSource::kExactMc);
+      default_send_forget_config(), 0.02);
 
   // The clean leg needs to clear the oracle's 400-round statistical warmup
   // with enough post-warmup probes for the streaming checks.
@@ -1461,8 +1373,7 @@ bool emit_chaos_json(bool quick, const std::string& path) {
   // detection: the DriftMonitor has to trip, and the tracker has to open
   // an undeclared episode.
   const obs::TheoryPrediction exact = sim::theory_prediction(
-      default_send_forget_config(), 0.01,
-      analysis::PredictionSource::kExactMc);
+      default_send_forget_config(), 0.01);
   sim::RunSpec spike = chaos_leg(n, 520);
   spike.declare_faults = false;
   spike.prediction = exact;
@@ -1475,8 +1386,9 @@ bool emit_chaos_json(bool quick, const std::string& path) {
   // at least one applied retune, and the degree lanes back in band. The
   // oracle warms up 300 rounds (enough for the regular seed topology to
   // mix into the ℓ-stationary distribution) so the monitor judges the
-  // spike, not the warm-in transient. The retune leg's oracle is primed
-  // through the mean-field fast path, which its controller re-solves live.
+  // spike, not the warm-in transient. Both legs are primed with the same
+  // exact §6.2 prediction, which the retune leg's controller re-solves
+  // live.
   sim::RunSpec retune_off = chaos_leg(n, 1200);
   retune_off.declare_faults = false;
   retune_off.prediction = exact;
@@ -1484,9 +1396,6 @@ bool emit_chaos_json(bool quick, const std::string& path) {
   retune_off.faults.phases.push_back(
       loss_spike(400, retune_off.rounds + 1, 0.12, "sustained-spike"));
   sim::RunSpec retune_on = retune_off;
-  retune_on.prediction = sim::theory_prediction(
-      default_send_forget_config(), 0.01,
-      analysis::PredictionSource::kMeanField);
   retune_on.retune = true;
 
   std::printf("chaos: partition leg n=%zu rounds=%zu cut=[150,170)\n", n,
@@ -1761,8 +1670,7 @@ bool emit_forensics_json(bool quick, const std::string& path) {
   sim::RunSpec spike = chaos_leg(n, 520);
   spike.declare_faults = false;
   spike.prediction = sim::theory_prediction(
-      default_send_forget_config(), 0.01,
-      analysis::PredictionSource::kExactMc);
+      default_send_forget_config(), 0.01);
   spike.faults.phases.push_back(loss_spike(440, 480, 0.15, "undeclared-spike"));
 
   std::printf("forensics: declared-partition leg n=%zu rounds=%zu\n", n,

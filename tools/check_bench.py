@@ -11,12 +11,9 @@ the first argument):
   scale         registry_overhead_pct and recorder_overhead_pct under the
                 2% hot-path budget; a nonempty results table.
   analysis      the accelerated degree-MC sweep agrees with the seed
-                baseline configuration (max mean-indegree difference), and
-                the mean-field fast path holds its contract: >= 50x faster
-                than the exact sweep on the committed box, per-point
-                degree-marginal TVD <= 5e-3 and dup/del rates within 2%
-                relative of the exact solver, every point converged, and
-                the prediction cache actually serves repeats.
+                baseline configuration (max mean-indegree difference),
+                every point of the accelerated sweep converged, and the
+                prediction cache actually serves repeats.
   telemetry     zero watchdog violations, nonempty registry histograms
                 (the degree histograms must actually be wired), the
                 "observe" phase attributed as a coordinator phase, and the
@@ -82,13 +79,6 @@ BYTES_PER_NODE_MIN_N = 10_000_000
 # unpacked seed engine's committed 8.93M actions/sec.
 SINGLE_THREAD_GATE_N = 50_000
 SINGLE_THREAD_FLOOR_APS = 1.5 * 8.93e6
-# Mean-field fast-path contract: wall-clock floor vs the accelerated exact
-# sweep on the committed box, and per-point accuracy limits vs the exact
-# solver (the solver lands orders of magnitude inside these; the gates
-# bound structural regressions, not noise).
-MEAN_FIELD_SPEEDUP_FLOOR = 50.0
-MEAN_FIELD_TVD_LIMIT = 5e-3
-MEAN_FIELD_RATE_LIMIT = 2e-2
 
 
 def fail(errors, path, message):
@@ -177,39 +167,15 @@ def check_analysis(doc, path, errors):
         fail(errors, path,
              f"accelerated degree MC disagrees with baseline by {diff:g}")
 
-    mean_field = doc.get("mean_field")
-    if not isinstance(mean_field, dict):
-        fail(errors, path, "missing mean_field section")
-        return
-    speedup = mean_field.get("speedup_vs_exact")
-    if not isinstance(speedup, (int, float)):
-        fail(errors, path, "missing mean_field.speedup_vs_exact")
-    elif speedup < MEAN_FIELD_SPEEDUP_FLOOR:
-        fail(errors, path,
-             f"mean-field speedup {speedup:g}x below the "
-             f"{MEAN_FIELD_SPEEDUP_FLOOR:g}x floor")
-    points = mean_field.get("points", [])
+    points = degree.get("after", {}).get("points", [])
     if not points:
-        fail(errors, path, "mean_field.points is empty")
+        fail(errors, path, "degree_mc.after.points is empty")
     for point in points:
-        loss = point.get("loss")
         if point.get("converged") is not True:
             fail(errors, path,
-                 f"mean-field point loss={loss!r} did not converge")
-        for stat, limit in (("tvd_out", MEAN_FIELD_TVD_LIMIT),
-                            ("tvd_in", MEAN_FIELD_TVD_LIMIT),
-                            ("dup_rel_err", MEAN_FIELD_RATE_LIMIT),
-                            ("del_rel_err", MEAN_FIELD_RATE_LIMIT)):
-            value = point.get(stat)
-            if not isinstance(value, (int, float)):
-                fail(errors, path,
-                     f"mean-field point loss={loss!r} missing {stat}")
-            elif value > limit:
-                fail(errors, path,
-                     f"mean-field point loss={loss!r} {stat} = {value:g} "
-                     f"outside its limit {limit:g}")
-    cache = mean_field.get("cache", {})
-    if not cache.get("hits"):
+                 f"degree MC point loss={point.get('loss')!r} did not "
+                 "converge")
+    if not doc.get("prediction_cache", {}).get("hits"):
         fail(errors, path,
              "prediction cache served no hits (repeat solve not cached)")
 

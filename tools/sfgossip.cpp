@@ -71,7 +71,6 @@
 #include "sampling/random_walk.hpp"
 #include "sampling/health.hpp"
 #include "sampling/spatial.hpp"
-#include "analysis/prediction.hpp"
 #include "obs/detection.hpp"
 #include "obs/recovery.hpp"
 #include "sim/arena_driver.hpp"
@@ -104,7 +103,7 @@ int usage() {
 
 // The --retune mode: a flat S&F overlay on the sharded driver with the
 // theory oracle watching and the §6.3 controller closing the loop. The
-// oracle is primed through the mean-field path, the solver the controller
+// oracle is primed through the exact §6.2 solve, the solver the controller
 // re-solves with, and an optional scripted loss spike
 // demonstrates the retune: the controller re-estimates ℓ̂, installs a
 // compliant dL, and the run ends with zero drift violations.
@@ -138,8 +137,7 @@ int cmd_simulate_retune(const ArgParser& args) {
     spec.faults.phases.push_back(spike);
   }
   spec.declare_faults = false;
-  spec.prediction = sim::theory_prediction(
-      spec.protocol, spec.loss, analysis::PredictionSource::kMeanField);
+  spec.prediction = sim::theory_prediction(spec.protocol, spec.loss);
   spec.retune = true;
   spec.json_out = args.get_string("json", "");
   sim::FlatRun run(spec);
@@ -209,7 +207,7 @@ int cmd_simulate(const ArgParser& args) {
         "  --snapshot-stride N  rounds between snapshots   (default 10)\n"
         "  --retune          close the loop: sharded sf run with the theory\n"
         "                    oracle attached and the §6.3 controller re-\n"
-        "                    solving dL (mean-field fast path) under loss\n"
+        "                    solving dL (exact §6.2 solve) under loss\n"
         "                    drift; defaults to a sustained 12%% spike from\n"
         "                    round 400 (exit 1 on any drift VIOLATION)\n"
         "    --shards T        worker shards              (default 2)\n"
@@ -958,8 +956,6 @@ int cmd_chaos(const ArgParser& args) {
         "  --warmup W        tracker warmup rounds        (default 100)\n"
         "  --oracle          attach the theory oracle; scripted windows are\n"
         "                    declared (drift accounted, not escalated)\n"
-        "  --prediction P    oracle solver: exact|meanfield (default exact;\n"
-        "                    both served from the process prediction cache)\n"
         "  --grace G         post-heal oracle grace rounds (default 40)\n"
         "  --snapshot-out F  stream delta-encoded registry snapshots (JSONL)\n"
         "  --prom-out FILE   rewrite a Prometheus text exposition per\n"
@@ -987,16 +983,7 @@ int cmd_chaos(const ArgParser& args) {
   spec.series = true;
   spec.recovery = true;
   if (args.has("oracle")) {
-    const auto source_name = args.get_string("prediction", "exact");
-    analysis::PredictionSource source;
-    if (source_name == "exact") {
-      source = analysis::PredictionSource::kExactMc;
-    } else if (source_name == "meanfield") {
-      source = analysis::PredictionSource::kMeanField;
-    } else {
-      throw CliError("unknown --prediction '" + source_name + "'");
-    }
-    spec.prediction = sim::theory_prediction(spec.protocol, spec.loss, source);
+    spec.prediction = sim::theory_prediction(spec.protocol, spec.loss);
   }
   // A deeper default ring than the recorder's cache-resident 512: chaos
   // post-mortems want the whole fault window, and a one-shot chaos run is
@@ -1432,10 +1419,9 @@ int cmd_top(const ArgParser& args) {
   spec.oracle_warmup = in.size("oracle-warmup", spec.oracle_warmup, 0, 1'000'000);
   const bool plain = args.has("plain") || isatty(fileno(stdout)) == 0;
   spec.protocol.validate();
-  // Drift scores come from the mean-field oracle (fast enough to solve at
+  // Drift scores come from the exact §6.2 oracle (fast enough to solve at
   // startup for any CLI-scale parameters).
-  spec.prediction = sim::theory_prediction(
-      spec.protocol, spec.loss, analysis::PredictionSource::kMeanField);
+  spec.prediction = sim::theory_prediction(spec.protocol, spec.loss);
   spec.recovery = scripted;
   // Dashboard frames ride the snapshot stream: the streamer borrows the
   // driver's registry and captures at every observation (stride rounds).
