@@ -55,7 +55,7 @@ Row run(const sim::Cluster::ProtocolFactory& factory, const Digraph& start,
   row.edge_ratio = static_cast<double>(g.edge_count()) / initial_edges;
   row.connected = is_weakly_connected(g);
   row.dependent = dep.dependent_fraction_upper();
-  row.reciprocity = dep.reciprocity_fraction();
+  row.reciprocity = sampling::reciprocity_fraction(cluster);
   return row;
 }
 

@@ -22,7 +22,9 @@ namespace {
 
 using namespace gossip;
 
-sampling::SpatialDependence simulate(double loss_rate, std::uint64_t seed) {
+// Runs S&F to steady state at `loss_rate` and returns `measure(cluster)`.
+template <typename Measure>
+auto simulate(double loss_rate, std::uint64_t seed, Measure measure) {
   Rng rng(seed);
   constexpr std::size_t kN = 1200;
   sim::Cluster cluster(kN, [](NodeId id) {
@@ -32,7 +34,7 @@ sampling::SpatialDependence simulate(double loss_rate, std::uint64_t seed) {
   sim::UniformLoss loss(loss_rate);
   sim::RoundDriver driver(cluster, loss, rng);
   driver.run_rounds(600);
-  return sampling::measure_spatial_dependence(cluster);
+  return measure(cluster);
 }
 
 }  // namespace
@@ -47,7 +49,8 @@ int main() {
       "bound exact", "bound 2(l+d)", "measured", "tagged", "self", "dups",
       "alpha est.");
   for (const double l : {0.0, 0.005, 0.01, 0.02, 0.05, 0.1}) {
-    const auto dep = simulate(l, 77 + static_cast<std::uint64_t>(l * 1000));
+    const auto dep = simulate(l, 77 + static_cast<std::uint64_t>(l * 1000),
+                              sampling::measure_spatial_dependence);
     const double exact = analysis::dependent_fraction_bound(l, kDelta);
     const double simple = analysis::dependent_fraction_bound_simple(l, kDelta);
     std::printf(
@@ -63,9 +66,9 @@ int main() {
 
   print_subheader("Reciprocity (dependence between neighboring views)");
   for (const double l : {0.0, 0.05, 0.1}) {
-    const auto dep = simulate(l, 177 + static_cast<std::uint64_t>(l * 1000));
     std::printf("  loss=%5.2f  reciprocal-edge fraction = %.4f\n", l,
-                dep.reciprocity_fraction());
+                simulate(l, 177 + static_cast<std::uint64_t>(l * 1000),
+                         sampling::reciprocity_fraction));
   }
   print_note("duplication keeps the sent ids, creating mutual edges; the "
              "reciprocity fraction therefore tracks the duplication rate.");

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <sstream>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -15,6 +17,9 @@ namespace {
 // Model-defining key: everything that changes the stationary answer.
 // Doubles are compared by bit pattern so the key is a total order without
 // epsilon ambiguity (callers pass exact literals, not computed noise).
+// The solver settings (tolerance, iteration cap, acceleration) are left out
+// because only converged answers are cached: an unconverged solve throws
+// in solve_prediction and never reaches the map.
 using CacheKey = std::tuple<std::size_t,     // view_size
                             std::size_t,     // min_degree
                             std::uint64_t,   // loss bits
@@ -55,6 +60,14 @@ obs::TheoryPrediction solve_prediction(const DegreeMcParams& params,
   pred.view_size = params.view_size;
   pred.min_degree = params.min_degree;
   DegreeMcResult mc = solve_degree_mc(params);
+  if (!mc.converged) {
+    std::ostringstream msg;
+    msg << "degree MC did not converge at s=" << params.view_size
+        << ", dL=" << params.min_degree << ", loss=" << params.loss
+        << " (" << mc.fixed_point_iterations
+        << " outer iterations, residual " << mc.fixed_point_residual << ")";
+    throw std::runtime_error(msg.str());
+  }
   pred.out_pmf = std::move(mc.out_pmf);
   pred.in_pmf = std::move(mc.in_pmf);
   pred.expected_out = mc.expected_out;

@@ -33,7 +33,10 @@ enum class PredictionSource {
 // for the TheoryOracle. Results are served from the process-wide cache
 // when the same (params, delta) point was solved before; solver tuning
 // fields (tolerances, acceleration) are not part of the key. Propagates
-// the solver's exceptions on bad parameters.
+// the solver's exceptions on bad parameters, and throws
+// std::runtime_error naming (s, dL, loss) when the fixed point does not
+// converge within params.max_fixed_point_iterations; nothing is cached
+// then.
 [[nodiscard]] obs::TheoryPrediction make_theory_prediction(
     const DegreeMcParams& params, double delta = 0.01,
     PredictionSource source = PredictionSource::kExactMc);

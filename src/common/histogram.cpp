@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace gossip {
 
@@ -81,17 +80,6 @@ void Histogram::merge(const Histogram& other) {
 void Histogram::clear() {
   counts_.clear();
   total_ = 0;
-}
-
-std::string Histogram::to_table(const std::string& value_header) const {
-  std::ostringstream out;
-  out << value_header << "\tcount\tprobability\n";
-  if (total_ == 0) return out.str();
-  for (std::size_t v = 0; v <= max_value(); ++v) {
-    out << v << '\t' << count(v) << '\t'
-        << static_cast<double>(count(v)) / static_cast<double>(total_) << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace gossip

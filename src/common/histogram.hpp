@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace gossip {
@@ -50,9 +49,6 @@ class Histogram {
   [[nodiscard]] const std::vector<std::uint64_t>& counts() const {
     return counts_;
   }
-
-  // Renders "value count probability" rows; used by the bench harness.
-  [[nodiscard]] std::string to_table(const std::string& value_header) const;
 
  private:
   std::vector<std::uint64_t> counts_;

@@ -26,14 +26,6 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const auto span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>((*this)());  // full range
-  return lo + static_cast<std::int64_t>(uniform(span));
-}
-
 double Rng::pareto(double minimum, double shape) {
   assert(minimum > 0.0);
   assert(shape > 0.0);

@@ -72,9 +72,6 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   // Uniform double in [0, 1) with 53 bits of precision.
   double uniform_double() {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;

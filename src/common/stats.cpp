@@ -63,19 +63,6 @@ double l1_distance(std::span<const double> p, std::span<const double> q) {
   return sum;
 }
 
-double ks_statistic(std::span<const double> p, std::span<const double> q) {
-  const std::size_t n = std::max(p.size(), q.size());
-  double cp = 0.0;
-  double cq = 0.0;
-  double worst = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    cp += i < p.size() ? p[i] : 0.0;
-    cq += i < q.size() ? q[i] : 0.0;
-    worst = std::max(worst, std::abs(cp - cq));
-  }
-  return worst;
-}
-
 double chi_square_statistic(std::span<const std::uint64_t> observed,
                             std::span<const double> expected_probs) {
   assert(observed.size() == expected_probs.size());
@@ -157,55 +144,6 @@ PmfMoments pmf_moments(std::span<const double> p) {
     m.variance += d * d * p[i];
   }
   return m;
-}
-
-double pearson_correlation(std::span<const double> x,
-                           std::span<const double> y) {
-  assert(x.size() == y.size());
-  if (x.empty()) return 0.0;
-  const auto n = static_cast<double>(x.size());
-  double mx = 0.0;
-  double my = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    mx += x[i];
-    my += y[i];
-  }
-  mx /= n;
-  my /= n;
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-    syy += (y[i] - my) * (y[i] - my);
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
-  assert(x.size() == y.size());
-  assert(!x.empty());
-  const auto n = static_cast<double>(x.size());
-  double mx = 0.0;
-  double my = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    mx += x[i];
-    my += y[i];
-  }
-  mx /= n;
-  my /= n;
-  double sxy = 0.0;
-  double sxx = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-  }
-  LinearFit fit;
-  fit.slope = sxx == 0.0 ? 0.0 : sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  return fit;
 }
 
 }  // namespace gossip

@@ -40,11 +40,6 @@ class RunningStats {
 [[nodiscard]] double total_variation_distance(std::span<const double> p,
                                               std::span<const double> q);
 
-// Kolmogorov-Smirnov statistic between two pmfs over the integers:
-// max_k |CDF_p(k) - CDF_q(k)|.
-[[nodiscard]] double ks_statistic(std::span<const double> p,
-                                  std::span<const double> q);
-
 // L1 distance: sum |p_i - q_i|.
 [[nodiscard]] double l1_distance(std::span<const double> p,
                                  std::span<const double> q);
@@ -67,18 +62,5 @@ struct PmfMoments {
   double variance = 0.0;
 };
 [[nodiscard]] PmfMoments pmf_moments(std::span<const double> p);
-
-// Pearson correlation coefficient of two equal-length samples.
-// Returns 0 when either sample has zero variance.
-[[nodiscard]] double pearson_correlation(std::span<const double> x,
-                                         std::span<const double> y);
-
-// Least-squares fit y = a + b*x; returns {a, b}.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-};
-[[nodiscard]] LinearFit linear_fit(std::span<const double> x,
-                                   std::span<const double> y);
 
 }  // namespace gossip

@@ -4,14 +4,16 @@
 //
 // Brings in the S&F protocol and its variants, the baselines, the
 // simulators, the paper's analysis toolkit, and the measurement utilities.
-// Fine-grained headers remain available for faster builds.
+// Fine-grained headers remain available for faster builds. Being listed
+// here is not a use: the `dead_headers` ctest
+// (tools/check_dead_headers.py) fails on a header that nothing but its own
+// .cpp and this file includes.
 #pragma once
 
 // Substrate.
 #include "common/binomial.hpp"
 #include "common/cli.hpp"
 #include "common/csv.hpp"
-#include "common/discrete_distribution.hpp"
 #include "common/histogram.hpp"
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
@@ -27,11 +29,8 @@
 #include "graph/spectral.hpp"
 #include "graph/transformations.hpp"
 
-// Markov chain machinery.
-#include "markov/dtmc.hpp"
-#include "markov/matrix.hpp"
+// Markov chains: the CSR chain every §6/§7 stationary solve runs on.
 #include "markov/sparse_chain.hpp"
-#include "markov/stationary.hpp"
 
 // The protocol, variants, baselines, and application API.
 #include "core/baselines/newscast.hpp"

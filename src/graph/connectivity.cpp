@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdint>
 #include <limits>
 #include <queue>
-#include <stack>
 
 namespace gossip {
 
@@ -84,99 +82,6 @@ bool is_weakly_connected_among(const Digraph& g,
     if (live[u] && !seen[u]) return false;
   }
   return true;
-}
-
-std::vector<std::size_t> weak_component_sizes(const Digraph& g) {
-  const auto adj = undirected_adjacency(g);
-  const std::vector<bool> live(g.node_count(), true);
-  std::vector<bool> assigned(g.node_count(), false);
-  std::vector<std::size_t> sizes;
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    if (assigned[u]) continue;
-    const auto [seen, depth] = bfs(adj, u, live);
-    (void)depth;
-    std::size_t size = 0;
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      if (seen[v] && !assigned[v]) {
-        assigned[v] = true;
-        ++size;
-      }
-    }
-    sizes.push_back(size);
-  }
-  std::sort(sizes.rbegin(), sizes.rend());
-  return sizes;
-}
-
-namespace {
-
-// Iterative Tarjan strongly-connected-components.
-std::size_t tarjan_scc_count(const Digraph& g) {
-  const std::size_t n = g.node_count();
-  constexpr std::uint32_t kUnvisited = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> index(n, kUnvisited);
-  std::vector<std::uint32_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<NodeId> scc_stack;
-  std::uint32_t next_index = 0;
-  std::size_t scc_count = 0;
-
-  struct Frame {
-    NodeId node;
-    std::size_t child;
-  };
-  std::stack<Frame> call_stack;
-
-  for (NodeId root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    call_stack.push({root, 0});
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
-    while (!call_stack.empty()) {
-      auto& frame = call_stack.top();
-      const auto& neighbors = g.out_neighbors(frame.node);
-      if (frame.child < neighbors.size()) {
-        const NodeId w = neighbors[frame.child++];
-        if (index[w] == kUnvisited) {
-          index[w] = lowlink[w] = next_index++;
-          scc_stack.push_back(w);
-          on_stack[w] = true;
-          call_stack.push({w, 0});
-        } else if (on_stack[w]) {
-          lowlink[frame.node] = std::min(lowlink[frame.node], index[w]);
-        }
-      } else {
-        const NodeId v = frame.node;
-        call_stack.pop();
-        if (!call_stack.empty()) {
-          const NodeId parent = call_stack.top().node;
-          lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
-        }
-        if (lowlink[v] == index[v]) {
-          ++scc_count;
-          NodeId w;
-          do {
-            w = scc_stack.back();
-            scc_stack.pop_back();
-            on_stack[w] = false;
-          } while (w != v);
-        }
-      }
-    }
-  }
-  return scc_count;
-}
-
-}  // namespace
-
-bool is_strongly_connected(const Digraph& g) {
-  if (g.node_count() <= 1) return true;
-  return tarjan_scc_count(g) == 1;
-}
-
-std::size_t strong_component_count(const Digraph& g) {
-  return tarjan_scc_count(g);
 }
 
 std::size_t estimate_undirected_diameter(const Digraph& g,

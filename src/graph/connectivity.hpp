@@ -23,16 +23,6 @@ namespace gossip {
 [[nodiscard]] bool is_weakly_connected_among(const Digraph& g,
                                              const std::vector<bool>& live);
 
-// Sizes of all weakly connected components, descending.
-[[nodiscard]] std::vector<std::size_t> weak_component_sizes(const Digraph& g);
-
-// True if every vertex can reach every other along directed edges
-// (Tarjan SCC count == 1).
-[[nodiscard]] bool is_strongly_connected(const Digraph& g);
-
-// Number of strongly connected components.
-[[nodiscard]] std::size_t strong_component_count(const Digraph& g);
-
 // Undirected eccentricity-based diameter estimate: the maximum BFS depth
 // over `sample_count` start vertices (exact when sample_count >= n).
 // Returns 0 for graphs with fewer than 2 vertices; returns SIZE_MAX if some

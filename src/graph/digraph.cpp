@@ -19,12 +19,6 @@ Digraph Digraph::from_in_regular_rows(std::vector<std::vector<NodeId>> rows,
   return g;
 }
 
-NodeId Digraph::add_node() {
-  out_.emplace_back();
-  in_degree_.push_back(0);
-  return static_cast<NodeId>(out_.size() - 1);
-}
-
 void Digraph::add_edge(NodeId from, NodeId to) {
   assert(from < out_.size());
   assert(to < out_.size());
@@ -44,26 +38,6 @@ bool Digraph::remove_edge(NodeId from, NodeId to) {
   --in_degree_[to];
   --edge_count_;
   return true;
-}
-
-void Digraph::isolate(NodeId node) {
-  assert(node < out_.size());
-  for (const NodeId to : out_[node]) {
-    --in_degree_[to];
-    --edge_count_;
-  }
-  out_[node].clear();
-  for (NodeId u = 0; u < out_.size(); ++u) {
-    if (u == node) continue;
-    auto& adj = out_[u];
-    const auto removed = static_cast<std::size_t>(
-        std::count(adj.begin(), adj.end(), node));
-    if (removed == 0) continue;
-    adj.erase(std::remove(adj.begin(), adj.end(), node), adj.end());
-    in_degree_[node] -= removed;
-    edge_count_ -= removed;
-  }
-  assert(in_degree_[node] == 0);
 }
 
 std::size_t Digraph::edge_multiplicity(NodeId from, NodeId to) const {

@@ -30,18 +30,10 @@ class Digraph {
   [[nodiscard]] std::size_t node_count() const { return out_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
 
-  // Appends a new isolated vertex; returns its id.
-  NodeId add_node();
-
   void add_edge(NodeId from, NodeId to);
 
   // Removes one occurrence of (from, to); returns false if absent.
   bool remove_edge(NodeId from, NodeId to);
-
-  // Removes all out-edges of `node` and all in-edges pointing to it
-  // (models a node failing while other views still reference it would keep
-  // in-edges; this full removal models view cleanup for analysis purposes).
-  void isolate(NodeId node);
 
   // Multiplicity of edge (from, to).
   [[nodiscard]] std::size_t edge_multiplicity(NodeId from, NodeId to) const;

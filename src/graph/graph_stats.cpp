@@ -1,7 +1,5 @@
 #include "graph/graph_stats.hpp"
 
-#include <algorithm>
-
 #include "common/stats.hpp"
 
 namespace gossip {
@@ -44,13 +42,6 @@ Histogram sum_degree_histogram(const Digraph& g) {
     h.add(g.out_degree(u) + 2 * g.in_degree(u));
   }
   return h;
-}
-
-double structural_dependence_fraction(const Digraph& g) {
-  if (g.edge_count() == 0) return 0.0;
-  const std::size_t dependent = g.self_edge_count() + g.parallel_edge_count();
-  return static_cast<double>(std::min(dependent, g.edge_count())) /
-         static_cast<double>(g.edge_count());
 }
 
 }  // namespace gossip

@@ -30,8 +30,4 @@ struct DegreeSummary {
 // Histogram of sum degrees ds(u) = d(u) + 2*din(u) (Definition 6.1).
 [[nodiscard]] Histogram sum_degree_histogram(const Digraph& g);
 
-// Fraction of edges that are self-edges or redundant parallel edges —
-// the structurally dependent edges per the paper's labeling in §2.
-[[nodiscard]] double structural_dependence_fraction(const Digraph& g);
-
 }  // namespace gossip

@@ -92,12 +92,6 @@ void TraceExporter::add_flight_events(const std::vector<FlightEvent>& events,
   }
 }
 
-void TraceExporter::add_trace(const FlightTrace& trace,
-                              std::size_t shard_count) {
-  add_flight_events(trace.events(),
-                    std::max(shard_count, trace.shard_count()));
-}
-
 void TraceExporter::add_recorder(const FlightRecorder& recorder) {
   std::vector<FlightEvent> merged;
   for (std::size_t s = 0; s < recorder.shard_count(); ++s) {

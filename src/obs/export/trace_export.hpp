@@ -48,7 +48,6 @@ class TraceExporter {
   // FlightRecorder::drain into a FlightTrace or directly).
   void add_flight_events(const std::vector<FlightEvent>& events,
                          std::size_t shard_count);
-  void add_trace(const FlightTrace& trace, std::size_t shard_count);
   // Unwrap a live recorder's rings and merge them in canonical
   // (round, shard, intra-shard) order.
   void add_recorder(const FlightRecorder& recorder);

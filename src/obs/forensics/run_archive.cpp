@@ -164,9 +164,6 @@ std::size_t SnapshotSurface::histogram_index(std::string_view name) const {
 bool SnapshotSurface::has_counter(std::string_view name) const {
   return counter_index(name) != npos;
 }
-bool SnapshotSurface::has_gauge(std::string_view name) const {
-  return gauge_index(name) != npos;
-}
 
 double SnapshotSurface::counter_at(std::size_t i,
                                    std::string_view name) const {

@@ -68,12 +68,8 @@ class SnapshotSurface {
   [[nodiscard]] const std::vector<std::string>& gauge_names() const {
     return gauge_names_;
   }
-  [[nodiscard]] const std::vector<std::string>& histogram_names() const {
-    return histogram_names_;
-  }
 
   [[nodiscard]] bool has_counter(std::string_view name) const;
-  [[nodiscard]] bool has_gauge(std::string_view name) const;
 
   // Cumulative counter / gauge value at snapshot `i` (carry-forward across
   // delta-encoded records that omitted the metric); 0 for unknown names.

@@ -186,17 +186,4 @@ void DriftMonitor::write_json(std::ostream& out) const {
   out << "]}";
 }
 
-void DriftMonitor::write_samples_csv(std::ostream& out) const {
-  out << "round";
-  for (std::size_t c = 0; c < kChecks; ++c) {
-    out << ',' << drift_check_name(static_cast<DriftCheck>(c));
-  }
-  out << '\n';
-  for (const DriftSample& s : samples_) {
-    out << s.round;
-    for (std::size_t c = 0; c < kChecks; ++c) out << ',' << s.score[c];
-    out << '\n';
-  }
-}
-
 }  // namespace gossip::obs

@@ -135,7 +135,6 @@ class DriftMonitor {
   // {"violations":..,"warns":..,"states":{...},"transitions":[...],
   //  "samples":[...]}
   void write_json(std::ostream& out) const;
-  void write_samples_csv(std::ostream& out) const;
 
  private:
   struct Lane {

@@ -159,9 +159,6 @@ class TheoryOracle {
   // VIOLATION, `recorder` is dumped to `path` (once per run).
   void arm_flight_dump(FlightRecorder* recorder, std::string path);
   [[nodiscard]] bool flight_dumped() const { return flight_dumped_; }
-  [[nodiscard]] const std::string& flight_dump_path() const {
-    return flight_dump_path_;
-  }
 
   [[nodiscard]] std::string report() const;
   // {"prediction":{...},"last":{...},"monitor":{...}}

@@ -150,15 +150,6 @@ void MetricsRegistry::reset() {
   }
 }
 
-void MetricsRegistry::reset_histogram(HistogramId id) {
-  const HistogramMeta& meta = histograms_[id.index];
-  for (Slab& slab : slabs_) {
-    std::fill_n(slab.hist_buckets.begin() +
-                    static_cast<std::ptrdiff_t>(meta.offset),
-                meta.buckets, std::uint64_t{0});
-  }
-}
-
 std::string MetricsRegistry::dump() const {
   std::ostringstream out;
   for (std::uint32_t i = 0; i < counter_names_.size(); ++i) {

@@ -105,7 +105,6 @@ class MetricsRegistry {
 
   // Zero every value in every shard; registrations are kept.
   void reset();
-  void reset_histogram(HistogramId id);
 
   // Deterministic text dump in registration order: one line per metric.
   [[nodiscard]] std::string dump() const;

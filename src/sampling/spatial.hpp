@@ -9,6 +9,8 @@
 //    the reverse edge (v, u), a tag-free proxy for dependencies among
 //    neighboring views: duplication + reinforcement create exactly such
 //    pairs (high for keep-style protocols like push-pull, low for S&F).
+//    It costs an O(s) view lookup per entry, so it is its own function
+//    rather than part of the per-run health scan.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +24,6 @@ struct SpatialDependence {
   std::size_t tagged_dependent = 0;   // dependence tag set
   std::size_t self_edges = 0;         // u.lv[i] == u
   std::size_t intra_view_duplicates = 0;
-  std::size_t reciprocal_edges = 0;   // entry (u,v) with (v,u) present
 
   [[nodiscard]] double tagged_fraction() const;
   [[nodiscard]] double structural_fraction() const;
@@ -30,7 +31,6 @@ struct SpatialDependence {
   // categories is counted once per category here, so this may exceed the
   // true union slightly).
   [[nodiscard]] double dependent_fraction_upper() const;
-  [[nodiscard]] double reciprocity_fraction() const;
   // 1 - dependent_fraction_upper(): empirical lower estimate of α.
   [[nodiscard]] double independence_estimate() const;
 };
@@ -38,5 +38,9 @@ struct SpatialDependence {
 // Measures over all live nodes' views.
 [[nodiscard]] SpatialDependence measure_spatial_dependence(
     const sim::Cluster& cluster);
+
+// Fraction of live nodes' nonempty view entries (u, v), v != u, whose
+// reverse edge (v, u) is present; 0 when no live node has an entry.
+[[nodiscard]] double reciprocity_fraction(const sim::Cluster& cluster);
 
 }  // namespace gossip::sampling

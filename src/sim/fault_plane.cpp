@@ -259,13 +259,6 @@ FaultPlane::Context FaultPlane::make_context() const {
   return ctx;
 }
 
-bool FaultPlane::any_active(std::uint64_t round) const {
-  for (const FaultPhase& ph : schedule_.phases) {
-    if (ph.active(round)) return true;
-  }
-  return false;
-}
-
 void FaultPlane::refresh(std::uint64_t round, Context& ctx) const {
   ctx.cached_round = round;
   ctx.active.clear();

@@ -160,9 +160,6 @@ class FaultPlane {
         static_cast<std::uint64_t>(u) * schedule_.regions / node_count_);
   }
 
-  // True when at least one phase covers `round`.
-  [[nodiscard]] bool any_active(std::uint64_t round) const;
-
   // Samples the fault fate of one message: true means the fault plane
   // drops it. Zero RNG draws whenever no phase is active (the hot path is
   // two compares); structural phases draw none even while active.

@@ -4,6 +4,45 @@
 
 namespace gossip::sim {
 
+// The send-side fate of one message on the serial networks, in their fixed
+// draw order: a dead or unknown receiver (no draw), then the fault plane,
+// then ambient loss. A dropped message is counted and recorded on `id`,
+// and the result is false; true means it goes on to delivery.
+//
+// It reads the network's members itself (hence the friend template) rather
+// than taking them as arguments: the argument form made the compiler load
+// and spill every member around the receiver-liveness call, which cost
+// about 6% of simulate_churn_50k's actions/s (4-vCPU Xeon, gcc 12, -O2).
+struct SendFate {
+  template <typename Network>
+  static bool survives(Network& net, const Message& message,
+                       std::uint64_t id) {
+    const auto drop = [&](std::uint64_t& counter, NodeId a, NodeId b,
+                          obs::FlightEventKind kind) {
+      ++counter;
+      if (net.recorder_ != nullptr) {
+        net.recorder_->record(0, {id, net.record_round_, a, b, kind});
+      }
+      return false;
+    };
+    if (message.to >= net.cluster_.size() || !net.cluster_.live(message.to)) {
+      return drop(net.metrics_.to_dead, message.to, message.from,
+                  obs::FlightEventKind::kToDead);
+    }
+    if (net.fault_plane_ != nullptr &&
+        net.fault_plane_->drop(message.from, message.to, net.record_round_,
+                               net.rng_, net.fault_ctx_)) {
+      return drop(net.metrics_.faulted, message.from, message.to,
+                  obs::FlightEventKind::kFaultDrop);
+    }
+    if (net.loss_.drop(net.rng_)) {
+      return drop(net.metrics_.lost, message.from, message.to,
+                  obs::FlightEventKind::kLose);
+    }
+    return true;
+  }
+};
+
 DirectNetwork::DirectNetwork(Cluster& cluster, LossModel& loss, Rng& rng)
     : cluster_(cluster), loss_(loss), rng_(rng) {}
 
@@ -17,30 +56,7 @@ void DirectNetwork::send(Message message) {
   if (recorder_ != nullptr) {
     id = recorder_->begin_message(0);
   }
-  if (message.to >= cluster_.size() || !cluster_.live(message.to)) {
-    ++metrics_.to_dead;
-    if (recorder_ != nullptr) {
-      recorder_->record(0, {id, record_round_, message.to, message.from,
-                            obs::FlightEventKind::kToDead});
-    }
-    return;
-  }
-  if (fault_plane_ != nullptr &&
-      fault_plane_->drop(message.from, message.to, record_round_, rng_,
-                         fault_ctx_)) {
-    ++metrics_.faulted;
-    if (recorder_ != nullptr) {
-      recorder_->record(0, {id, record_round_, message.from, message.to,
-                            obs::FlightEventKind::kFaultDrop});
-    }
-    return;
-  }
-  if (loss_.drop(rng_)) {
-    ++metrics_.lost;
-    if (recorder_ != nullptr) {
-      recorder_->record(0, {id, record_round_, message.from, message.to,
-                            obs::FlightEventKind::kLose});
-    }
+  if (!SendFate::survives(*this, message, id)) {
     return;
   }
   ++metrics_.delivered;
@@ -64,30 +80,7 @@ void QueuedNetwork::send(Message message) {
     recorder_->record(0, {id, record_round_, message.from, message.to,
                           obs::FlightEventKind::kSend});
   }
-  if (message.to >= cluster_.size() || !cluster_.live(message.to)) {
-    ++metrics_.to_dead;
-    if (recorder_ != nullptr) {
-      recorder_->record(0, {id, record_round_, message.to, message.from,
-                            obs::FlightEventKind::kToDead});
-    }
-    return;
-  }
-  if (fault_plane_ != nullptr &&
-      fault_plane_->drop(message.from, message.to, record_round_, rng_,
-                         fault_ctx_)) {
-    ++metrics_.faulted;
-    if (recorder_ != nullptr) {
-      recorder_->record(0, {id, record_round_, message.from, message.to,
-                            obs::FlightEventKind::kFaultDrop});
-    }
-    return;
-  }
-  if (loss_.drop(rng_)) {
-    ++metrics_.lost;
-    if (recorder_ != nullptr) {
-      recorder_->record(0, {id, record_round_, message.from, message.to,
-                            obs::FlightEventKind::kLose});
-    }
+  if (!SendFate::survives(*this, message, id)) {
     return;
   }
   if (latency_.duplicate_rate > 0.0 &&

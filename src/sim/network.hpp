@@ -19,6 +19,9 @@
 
 namespace gossip::sim {
 
+// The send-side fate step both serial networks share (network.cpp).
+struct SendFate;
+
 struct NetworkMetrics {
   std::uint64_t sent = 0;
   std::uint64_t lost = 0;
@@ -74,6 +77,8 @@ class DirectNetwork final : public Transport {
   }
 
  private:
+  friend struct SendFate;
+
   Cluster& cluster_;
   LossModel& loss_;
   Rng& rng_;
@@ -130,6 +135,8 @@ class QueuedNetwork final : public Transport {
   }
 
  private:
+  friend struct SendFate;
+
   void schedule_delivery(Message message, std::uint64_t message_id);
 
   Cluster& cluster_;

@@ -13,13 +13,6 @@ TEST(Digraph, EmptyGraph) {
   EXPECT_EQ(g.in_degree(0), 0u);
 }
 
-TEST(Digraph, AddNode) {
-  Digraph g(1);
-  const NodeId id = g.add_node();
-  EXPECT_EQ(id, 1u);
-  EXPECT_EQ(g.node_count(), 2u);
-}
-
 TEST(Digraph, AddEdgeUpdatesDegrees) {
   Digraph g(3);
   g.add_edge(0, 1);
@@ -60,27 +53,6 @@ TEST(Digraph, SelfEdges) {
   EXPECT_EQ(g.self_edge_count(), 1u);
   EXPECT_EQ(g.out_degree(0), 1u);
   EXPECT_EQ(g.in_degree(0), 2u);
-}
-
-TEST(Digraph, Isolate) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 1);
-  g.add_edge(1, 1);
-  g.isolate(1);
-  EXPECT_EQ(g.out_degree(1), 0u);
-  EXPECT_EQ(g.in_degree(1), 0u);
-  EXPECT_EQ(g.edge_count(), 0u);
-}
-
-TEST(Digraph, IsolatePreservesOtherEdges) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  g.isolate(1);
-  EXPECT_EQ(g.edge_count(), 1u);
-  EXPECT_EQ(g.edge_multiplicity(2, 3), 1u);
 }
 
 TEST(Digraph, OutNeighborsMultiset) {

@@ -95,17 +95,6 @@ TEST(Histogram, Clear) {
   EXPECT_EQ(h.count(3), 0u);
 }
 
-TEST(Histogram, ToTableListsAllBucketsThroughMax) {
-  Histogram h;
-  h.add(0);
-  h.add(2);
-  const auto table = h.to_table("deg");
-  EXPECT_NE(table.find("deg\tcount\tprobability"), std::string::npos);
-  EXPECT_NE(table.find("0\t1\t0.5"), std::string::npos);
-  EXPECT_NE(table.find("1\t0\t0"), std::string::npos);
-  EXPECT_NE(table.find("2\t1\t0.5"), std::string::npos);
-}
-
 TEST(Histogram, MaxValueIgnoresTrailingZeroBuckets) {
   Histogram h;
   h.add(10);

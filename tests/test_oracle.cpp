@@ -11,6 +11,7 @@
 #include <numeric>
 #include <ostream>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,31 @@ INSTANTIATE_TEST_SUITE_P(
       return "s" + std::to_string(p.view_size) + "_dL" +
              std::to_string(p.min_degree) + "_loss" + loss;
     });
+
+// One outer iteration cannot reach the fixed point: the bridge must refuse
+// the answer, name the point, and cache nothing, so that a later solve of
+// the same point with the default cap is not served the unconverged one.
+TEST(TheoryPrediction, UnconvergedSolveThrowsAndIsNotCached) {
+  analysis::clear_prediction_cache();
+  analysis::DegreeMcParams params;
+  params.view_size = 40;
+  params.min_degree = 18;
+  params.loss = 0.01;
+  params.max_fixed_point_iterations = 1;
+  try {
+    (void)analysis::make_theory_prediction(params);
+    FAIL() << "an unconverged solve was returned";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("s=40, dL=18, loss=0.01"), std::string::npos) << what;
+  }
+  EXPECT_EQ(analysis::prediction_cache_stats().size, 0u);
+
+  params.max_fixed_point_iterations =
+      analysis::DegreeMcParams{}.max_fixed_point_iterations;
+  EXPECT_TRUE(analysis::make_theory_prediction(params).valid());
+  EXPECT_EQ(analysis::prediction_cache_stats().size, 1u);
+}
 
 // ---------------------------------------------------------------------------
 // DriftMonitor hysteresis.

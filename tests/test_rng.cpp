@@ -63,18 +63,6 @@ TEST(Rng, UniformIsApproximatelyUniform) {
   }
 }
 
-TEST(Rng, UniformIntCoversRangeInclusive) {
-  Rng rng(5);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 7u);
-}
-
 TEST(Rng, UniformDoubleInUnitInterval) {
   Rng rng(11);
   for (int i = 0; i < 10'000; ++i) {

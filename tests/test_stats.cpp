@@ -70,14 +70,6 @@ TEST(Distances, HandlesDifferentLengths) {
   EXPECT_DOUBLE_EQ(total_variation_distance(p, q), 0.5);
 }
 
-TEST(Distances, KsStatistic) {
-  const std::vector<double> p = {0.5, 0.5, 0.0};
-  const std::vector<double> q = {0.0, 0.5, 0.5};
-  // CDFs: p: .5, 1, 1 ; q: 0, .5, 1 -> max diff 0.5.
-  EXPECT_DOUBLE_EQ(ks_statistic(p, q), 0.5);
-  EXPECT_DOUBLE_EQ(ks_statistic(p, p), 0.0);
-}
-
 TEST(ChiSquare, StatisticAgainstUniform) {
   const std::vector<std::uint64_t> observed = {25, 25, 25, 25};
   const std::vector<double> expected = {0.25, 0.25, 0.25, 0.25};
@@ -111,40 +103,6 @@ TEST(PmfMomentsTest, MatchesDirectComputation) {
   const auto m = pmf_moments(p);
   EXPECT_NEAR(m.mean, 1.6, 1e-12);
   EXPECT_NEAR(m.variance, 0.2 * 1.6 * 1.6 + 0.8 * 0.4 * 0.4, 1e-12);
-}
-
-TEST(Pearson, PerfectCorrelation) {
-  const std::vector<double> x = {1, 2, 3, 4};
-  const std::vector<double> y = {2, 4, 6, 8};
-  EXPECT_NEAR(pearson_correlation(x, y), 1.0, 1e-12);
-  const std::vector<double> z = {8, 6, 4, 2};
-  EXPECT_NEAR(pearson_correlation(x, z), -1.0, 1e-12);
-}
-
-TEST(Pearson, ZeroVarianceGivesZero) {
-  const std::vector<double> x = {1, 1, 1};
-  const std::vector<double> y = {1, 2, 3};
-  EXPECT_DOUBLE_EQ(pearson_correlation(x, y), 0.0);
-}
-
-TEST(LinearFitTest, RecoversLine) {
-  std::vector<double> x;
-  std::vector<double> y;
-  for (int i = 0; i < 50; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 + 2.0 * i);
-  }
-  const auto fit = linear_fit(x, y);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
-}
-
-TEST(LinearFitTest, ConstantDataHasZeroSlope) {
-  const std::vector<double> x = {1, 1, 1};
-  const std::vector<double> y = {4, 5, 6};
-  const auto fit = linear_fit(x, y);
-  EXPECT_DOUBLE_EQ(fit.slope, 0.0);
-  EXPECT_DOUBLE_EQ(fit.intercept, 5.0);
 }
 
 }  // namespace
