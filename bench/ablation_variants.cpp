@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/variants/send_forget_ext.hpp"
+#include "core/send_forget.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/graph_stats.hpp"
@@ -30,12 +30,12 @@ struct Row {
   bool connected = false;
 };
 
-Row run(const SendForgetExtConfig& cfg, double loss_rate,
+Row run(const SendForgetConfig& cfg, double loss_rate,
         std::uint64_t seed) {
   Rng rng(seed);
   constexpr std::size_t kN = 800;
   sim::Cluster cluster(kN, [&cfg](NodeId id) {
-    return std::make_unique<SendForgetExt>(id, cfg);
+    return std::make_unique<SendForget>(id, cfg);
   });
   cluster.install_graph(permutation_regular(kN, 10, rng));
   sim::UniformLoss loss(loss_rate);
@@ -45,13 +45,13 @@ Row run(const SendForgetExtConfig& cfg, double loss_rate,
   const auto m0 = cluster.aggregate_metrics();
   std::uint64_t undel0 = 0;
   for (NodeId u = 0; u < kN; ++u) {
-    undel0 += static_cast<const SendForgetExt&>(cluster.node(u)).undeletions();
+    undel0 += static_cast<const SendForget&>(cluster.node(u)).undeletions();
   }
   driver.run_rounds(400);
   const auto m1 = cluster.aggregate_metrics();
   std::uint64_t undel1 = 0;
   for (NodeId u = 0; u < kN; ++u) {
-    undel1 += static_cast<const SendForgetExt&>(cluster.node(u)).undeletions();
+    undel1 += static_cast<const SendForget&>(cluster.node(u)).undeletions();
   }
 
   const double actions = static_cast<double>(
@@ -80,15 +80,15 @@ int main() {
 
   struct Variant {
     const char* name;
-    SendForgetExtConfig cfg;
+    SendForgetConfig cfg;
   };
   const std::vector<Variant> variants = {
-      {"base", SendForgetExtConfig{}},
+      {"base", SendForgetConfig{}},
       {"mark+undelete",
-       SendForgetExtConfig{.mark_instead_of_clear = true}},
-      {"replace-full", SendForgetExtConfig{.replace_when_full = true}},
-      {"batch p=2", SendForgetExtConfig{.pairs_per_message = 2}},
-      {"all three", SendForgetExtConfig{.pairs_per_message = 2,
+       SendForgetConfig{.mark_instead_of_clear = true}},
+      {"replace-full", SendForgetConfig{.replace_when_full = true}},
+      {"batch p=2", SendForgetConfig{.pairs_per_message = 2}},
+      {"all three", SendForgetConfig{.pairs_per_message = 2,
                                         .mark_instead_of_clear = true,
                                         .replace_when_full = true}},
   };

@@ -44,6 +44,8 @@ void BM_RngDistinctPair(benchmark::State& state) {
 }
 BENCHMARK(BM_RngDistinctPair);
 
+// LocalView's empty-slot draw at d = s/2: the row rejection draw of
+// core/packed_view.hpp, the same one the flat engine's receive makes.
 void BM_ViewRandomEmptySlot(benchmark::State& state) {
   LocalView view(40);
   for (std::size_t i = 0; i < 20; ++i) view.set(i, ViewEntry{1, false});
@@ -189,7 +191,7 @@ void BM_SfProtocolAction(benchmark::State& state) {
 BENCHMARK(BM_SfProtocolAction)->Arg(1000)->Arg(10000);
 
 // One round of the flat-storage sharded driver (sharded hot path: no
-// per-action allocation, no virtual dispatch, O(1) slot selection).
+// per-action allocation, no virtual dispatch, row-local slot draws).
 // range(0) = n, range(1) = shard/thread count.
 void BM_FlatShardedRound(benchmark::State& state) {
   Rng rng(4);

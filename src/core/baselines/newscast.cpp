@@ -55,7 +55,10 @@ void Newscast::merge(const std::vector<ViewEntry>& incoming) {
   // Incoming entries arrive youngest-first; approximate their age by
   // position (the sender's absolute clock is not meaningful here).
   for (std::size_t k = 0; k < incoming.size(); ++k) {
-    if (incoming[k].empty() || incoming[k].id == self()) continue;
+    if (!PackedViewEntry::packable(incoming[k].id) ||
+        incoming[k].id == self()) {
+      continue;
+    }
     candidates.push_back(Candidate{incoming[k], k});
   }
   for (std::size_t slot = 0; slot < view().capacity(); ++slot) {

@@ -79,7 +79,8 @@ void PushPullKeep::merge(const std::vector<ViewEntry>& entries, Rng& rng) {
   auto& view = mutable_view();
   auto& metrics = mutable_metrics();
   for (const ViewEntry& entry : entries) {
-    if (entry.empty()) continue;          // malformed input: skip
+    // Malformed input (an empty entry included): skip.
+    if (!PackedViewEntry::packable(entry.id)) continue;
     if (entry.id == self()) continue;     // no self-edges
     if (view.contains(entry.id)) continue;  // views deduplicate on merge
     if (view.full()) {

@@ -87,7 +87,8 @@ void Shuffle::absorb(const std::vector<ViewEntry>& entries, Rng& rng) {
   auto& metrics = mutable_metrics();
   bool dropped = false;
   for (ViewEntry entry : entries) {
-    if (entry.empty()) continue;  // malformed input: skip
+    // Malformed input (an empty entry included): skip.
+    if (!PackedViewEntry::packable(entry.id)) continue;
     if (view.full()) {
       dropped = true;
       break;

@@ -13,12 +13,14 @@ FlatSendForgetCluster::FlatSendForgetCluster(std::size_t node_count,
                                             SendForgetConfig config,
                                             FlatClusterOptions options)
     : config_(config),
-      options_(options),
       n_(node_count),
       view_size_(config.view_size),
-      pairs_(options.pairs_per_message),
       live_count_(node_count) {
   config_.validate();
+  if (config_.mark_instead_of_clear || config_.replace_when_full) {
+    throw std::invalid_argument(
+        "mark_instead_of_clear and replace_when_full are SendForget-only");
+  }
   if (node_count == 0) {
     throw std::invalid_argument("flat cluster requires at least one node");
   }
@@ -30,13 +32,6 @@ FlatSendForgetCluster::FlatSendForgetCluster(std::size_t node_count,
   if (view_size_ > 0xFFFF) {
     throw std::invalid_argument(
         "view_size must fit the 16-bit packed degree array");
-  }
-  if (pairs_ < 1 || pairs_ > kMaxPairsPerMessage) {
-    throw std::invalid_argument("pairs_per_message must be in [1, 4]");
-  }
-  if (2 * pairs_ > view_size_) {
-    throw std::invalid_argument(
-        "a batched message may not carry more ids than the view holds");
   }
   // First-touch: stripe every slab along the same contiguous node partition
   // the sharded driver uses (ceil(n / stripes) nodes per stripe).
@@ -54,51 +49,8 @@ FlatSendForgetCluster::FlatSendForgetCluster(std::size_t node_count,
 FlatInitiateResult FlatSendForgetCluster::initiate_batched(NodeId u,
                                                            Rng& rng,
                                                            FlatPush& out) {
-  PackedViewEntry* v = view(u);
-  const std::size_t want = 2 * pairs_;
-  // 2p distinct slots, uniform, by rejection against a fixed-size scratch
-  // (no allocation; want <= 8 keeps the duplicate scan trivial).
-  std::size_t slots[2 * kMaxPairsPerMessage];
-  std::size_t got = 0;
-  while (got < want) {
-    const std::size_t i = rng.uniform(view_size_);
-    bool seen = false;
-    for (std::size_t t = 0; t < got; ++t) {
-      if (slots[t] == i) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) slots[got++] = i;
-  }
-  PackedViewEntry picked[2 * kMaxPairsPerMessage];
-  for (std::size_t t = 0; t < want; ++t) {
-    picked[t] = v[slots[t]];
-    if (picked[t].empty()) {
-      // Any empty selection aborts the action, exactly as in
-      // SendForgetExt::initiate (the p-fold "nothing happens" case).
-      return FlatInitiateResult::kSelfLoop;
-    }
-  }
-  // SendForgetExt's duplication test: keep the slots while the view is
-  // within `want` of the floor. (Equivalent to the p = 1 expression
-  // `degree <= min_degree` at even degrees.)
-  const bool duplicate = degree_[u] < config_.min_degree + want;
-  if (!duplicate) {
-    for (std::size_t t = 0; t < want; ++t) v[slots[t]] = PackedViewEntry{};
-    degree_[u] = static_cast<std::uint16_t>(degree_[u] - want);
-  }
-  // picked[0] names the destination (as v[i] does in Fig 5.1); the message
-  // payload is the sender's id plus the other 2p - 1 lifted ids, every
-  // entry tagged with the duplication flag.
-  out.to = picked[0].id_unchecked();
-  out.count = static_cast<std::uint32_t>(want);
-  out.ids[0] = PackedViewEntry::pack(u, duplicate);
-  for (std::size_t t = 1; t < want; ++t) {
-    out.ids[t] = picked[t].with_dependent(duplicate);
-  }
-  return duplicate ? FlatInitiateResult::kSentDuplicated
-                   : FlatInitiateResult::kSent;
+  return initiate_batch(row(u), config_.pairs_per_message, config_.min_degree,
+                        u, rng, out);
 }
 
 void FlatSendForgetCluster::set_min_degree(std::size_t min_degree) {

@@ -12,13 +12,16 @@
 // at memory-bandwidth-limited speeds where the pointer-chasing `Cluster` of
 // small objects cannot.
 //
-// Batched messages (§5): with `pairs_per_message` = p > 1 the cluster runs
-// the paper's batched-messages variant (the flat counterpart of
-// `SendForgetExt`): one initiate-action samples 2p distinct slots and sends
-// the initiator's id plus 2p-1 view ids in a single message. p = 1 is the
-// plain Fig 5.1 protocol and reproduces the unpacked engine's RNG draw
-// sequence exactly — bit-identical trajectories, pinned by the
-// packed-vs-unpacked equivalence test in tests/test_packed_view.cpp.
+// The rules themselves live once in core/send_forget_row.hpp, shared with
+// `SendForget`: a row of this slab is the same ViewRow a LocalView holds.
+// Batched messages (§5): with `pairs_per_message` = p > 1 in the config the
+// cluster runs the paper's batched-messages variant: one initiate-action
+// samples 2p distinct slots and sends the initiator's id plus 2p-1 view ids
+// in a single message. p = 1 is the plain Fig 5.1 protocol and reproduces
+// the unpacked engine's RNG draw sequence exactly — bit-identical
+// trajectories, pinned by the packed-vs-unpacked equivalence test in
+// tests/test_packed_view.cpp. The §5 mark & undelete and replace-when-full
+// options are object-engine only; the constructor rejects them.
 //
 // Thread-safety contract (relied on by ShardedDriver): distinct nodes' state
 // is disjoint, so initiate(u)/receive(u) for different `u` may run
@@ -26,9 +29,9 @@
 // during a round race with nothing because churn (kill/revive/install_*) is
 // only legal at a synchronization point between rounds.
 //
-// The hot-path members (initiate / receive / store / random_empty_slot) are
-// defined inline in this header: the build has no LTO, and at ~100ns per
-// action a cross-TU call per step is measurable.
+// The hot-path members (initiate / receive) are defined inline in this
+// header, as are the row rules they call: the build has no LTO, and at
+// ~100ns per action a cross-TU call per step is measurable.
 #pragma once
 
 #include <cassert>
@@ -41,45 +44,15 @@
 #include "common/rng.hpp"
 #include "core/packed_view.hpp"
 #include "core/send_forget.hpp"
+#include "core/send_forget_row.hpp"
 #include "core/view.hpp"
 
 namespace gossip {
 
 class Digraph;
 
-// Upper bound on `pairs_per_message`, fixed so FlatPush stays a fixed-size
-// POD the mailbox frames can hold by value.
-inline constexpr std::size_t kMaxPairsPerMessage = 4;
-
-// A S&F push message in flat form. `ids[0]` carries the initiator's own id,
-// `ids[1..count-1]` the ids lifted from the initiator's view; dependence
-// tags as in the dependence MC of Fig 7.1. `count` is 2 for the plain
-// protocol and 2p for the §5 batched variant.
-struct FlatPush {
-  NodeId to = kNilNode;
-  std::uint32_t count = 0;
-  PackedViewEntry ids[2 * kMaxPairsPerMessage];
-  // Flight-recorder correlation id threading a send to its delivery across
-  // shards; 0 when no recorder is attached. Not protocol state: receive()
-  // ignores it and it is invisible to the cluster fingerprint.
-  std::uint64_t message_id = 0;
-
-  // The [u, w] naming of Fig 5.1 (valid for every p >= 1).
-  [[nodiscard]] PackedViewEntry sender() const { return ids[0]; }
-  [[nodiscard]] PackedViewEntry carried() const { return ids[1]; }
-};
-
-enum class FlatInitiateResult : std::uint8_t {
-  kSelfLoop,        // a selected slot was empty; no message produced
-  kSent,            // message produced, selected slots cleared
-  kSentDuplicated,  // message produced, slots kept (low degree)
-};
-
 // Construction-time knobs orthogonal to the protocol parameters.
 struct FlatClusterOptions {
-  // §5 batched messages: ids per message = 2 * pairs_per_message. 1 = the
-  // plain Fig 5.1 protocol (bit-identical to the unpacked engine).
-  std::size_t pairs_per_message = 1;
   // Stripes the slab zero-fill across this many threads so each contiguous
   // node range is first-touched — and hence NUMA-placed — near the worker
   // that will own it. Purely a placement hint; 1 = plain serial fill.
@@ -93,8 +66,6 @@ class FlatSendForgetCluster {
 
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] const SendForgetConfig& config() const { return config_; }
-  [[nodiscard]] const FlatClusterOptions& options() const { return options_; }
-  [[nodiscard]] std::size_t pairs_per_message() const { return pairs_; }
   [[nodiscard]] std::size_t live_count() const { return live_count_; }
   [[nodiscard]] bool live(NodeId u) const { return live_[u] != 0; }
   [[nodiscard]] std::size_t degree(NodeId u) const { return degree_[u]; }
@@ -104,61 +75,17 @@ class FlatSendForgetCluster {
   // deliver (or lose — that's the caller's call).
   FlatInitiateResult initiate(NodeId u, Rng& rng, FlatPush& out) {
     assert(u < n_ && live_[u]);
-    if (pairs_ == 1) {
-      // Plain Fig 5.1. This path must reproduce the unpacked engine's
-      // exact draw sequence: one distinct_pair, nothing else.
-      PackedViewEntry* v = view(u);
-      const auto [i, j] = rng.distinct_pair(view_size_);
-      const PackedViewEntry target = v[i];
-      const PackedViewEntry carried = v[j];
-      if (target.empty() || carried.empty()) {
-        // "If either of them is empty, nothing happens" — a self-loop
-        // transformation in the MC model.
-        return FlatInitiateResult::kSelfLoop;
-      }
-      const bool duplicate = degree_[u] <= config_.min_degree;
-      if (!duplicate) {
-        v[i] = PackedViewEntry{};
-        v[j] = PackedViewEntry{};
-        degree_[u] = static_cast<std::uint16_t>(degree_[u] - 2);
-      }
-      out.to = target.id_unchecked();
-      out.count = 2;
-      out.ids[0] = PackedViewEntry::pack(u, duplicate);
-      out.ids[1] = carried.with_dependent(duplicate);
-      return duplicate ? FlatInitiateResult::kSentDuplicated
-                       : FlatInitiateResult::kSent;
+    if (config_.pairs_per_message == 1) {
+      return initiate_pair(row(u), config_.min_degree, u, rng, out);
     }
     return initiate_batched(u, rng, out);
   }
 
-  // Receive(u, [v1, .., v2p]), Fig 5.1 / §5. Returns the number of ids
-  // accepted into the view: all of them, or — when the view fills — the
-  // prefix that fit (0 on an already-full view). Any shortfall is one
-  // deletion event, exactly as in `SendForgetExt`.
+  // Receive(u, [v1, .., v2p]), Fig 5.1 / §5: the number of ids accepted
+  // into the view (see receive_push).
   std::size_t receive(NodeId u, const FlatPush& message, Rng& rng) {
     assert(u < n_ && live_[u]);
-    assert(message.count >= 2 && message.count <= 2 * kMaxPairsPerMessage);
-    const std::size_t d = degree_[u];
-    if (d == view_size_) {
-      // d(u) = s: the received ids are deleted.
-      return 0;
-    }
-    if (message.count == 2) {
-      // Outdegree is even (Obs 5.1) and capacity is even, so a non-full
-      // view has at least two empty slots.
-      assert(view_size_ - d >= 2);
-      store(u, message.ids[0], rng);
-      store(u, message.ids[1], rng);
-      return 2;
-    }
-    std::size_t accepted = 0;
-    for (std::uint32_t i = 0; i < message.count; ++i) {
-      if (degree_[u] == view_size_) break;  // remainder deleted
-      store(u, message.ids[i], rng);
-      ++accepted;
-    }
-    return accepted;
+    return receive_push(row(u), u, message, rng);
   }
 
   // --- churn (only between rounds; see thread-safety contract above) ---
@@ -250,44 +177,16 @@ class FlatSendForgetCluster {
     return slots_.data() + static_cast<std::size_t>(u) * view_size_;
   }
 
-  // Uniform over u's empty slots: rejection sampling against the contiguous
-  // slot row (expected s/(s-d) probes, all within the row's few cache
-  // lines), with an exact k-th-empty scan fallback so the draw terminates
-  // and stays exactly uniform.
-  [[nodiscard]] std::size_t random_empty_slot(NodeId u, Rng& rng) const {
-    const PackedViewEntry* v = view(u);
-    const std::size_t empties = view_size_ - degree_[u];
-    assert(empties > 0);
-    // Each accepted probe is uniform over empty slots, and so is the
-    // fallback; a mixture of uniforms over the same set stays uniform.
-    for (int probes = 0; probes < 64; ++probes) {
-      const std::size_t i = rng.uniform(view_size_);
-      if (v[i].empty()) return i;
-    }
-    std::size_t k = rng.uniform(empties);
-    for (std::size_t i = 0;; ++i) {
-      assert(i < view_size_);
-      if (v[i].empty() && k-- == 0) return i;
-    }
-  }
-
-  void store(NodeId u, PackedViewEntry entry, Rng& rng) {
-    // A received copy of our own id forms a self-edge; the paper labels
-    // all self-edges dependent (§2).
-    if (entry.id_unchecked() == u) entry = entry.as_dependent();
-    const std::size_t slot = random_empty_slot(u, rng);
-    view(u)[slot] = entry;
-    degree_[u] = static_cast<std::uint16_t>(degree_[u] + 1);
+  [[nodiscard]] ViewRow row(NodeId u) {
+    return {view(u), view_size_, degree_[u]};
   }
 
   // §5 batched variant (p >= 2); out-of-line, it is not the default path.
   FlatInitiateResult initiate_batched(NodeId u, Rng& rng, FlatPush& out);
 
   SendForgetConfig config_;
-  FlatClusterOptions options_;
   std::size_t n_;
   std::size_t view_size_;
-  std::size_t pairs_;
   FirstTouchSlab<PackedViewEntry> slots_;  // n * s contiguous, SoA
   FirstTouchSlab<std::uint16_t> degree_;   // outdegree d(u)
   FirstTouchSlab<std::uint8_t> live_;

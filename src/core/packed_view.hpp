@@ -1,8 +1,9 @@
-// Packed view-slot representation for the flat hot path.
+// View slots: the unpacked `ViewEntry` that APIs hand out, and the packed
+// 4-byte `PackedViewEntry` that every view row stores.
 //
 // A `ViewEntry` is 8 bytes: a 4-byte NodeId plus a bool dependence tag that
-// padding rounds up to another 4 bytes. Half of every view row is therefore
-// air. `PackedViewEntry` folds the dependence tag of the dependence MC
+// padding rounds up to another 4 bytes. Half of a row of them would be air.
+// `PackedViewEntry` folds the dependence tag of the dependence MC
 // (Fig 7.1) into the top bit of the id word:
 //
 //   bits = id | (dependent << 31)        id < 2^31   (asserted at pack time)
@@ -17,17 +18,32 @@
 //
 // `unpack()` restores the exact unpacked semantics — an empty slot reads as
 // {kNilNode, independent} just as a default `ViewEntry` does — which is what
-// keeps the packed cluster's fingerprint definition bit-identical to the
-// unpacked one.
+// keeps the fingerprint definition over unpacked values unchanged.
+//
+// Both engines keep a node's view as a row of these (LocalView holds one,
+// FlatSendForgetCluster a slab of n), and both draw slots from a row with
+// random_empty_slot / random_nonempty_slot below.
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/node_id.hpp"
-#include "core/view.hpp"
+#include "common/rng.hpp"
 
 namespace gossip {
+
+struct ViewEntry {
+  NodeId id = kNilNode;
+  // True if this id instance was created by duplication (or is a self-edge);
+  // propagated through messages. Purely observational: the protocol never
+  // reads it.
+  bool dependent = false;
+
+  [[nodiscard]] bool empty() const { return id == kNilNode; }
+  [[nodiscard]] bool operator==(const ViewEntry&) const = default;
+};
 
 class PackedViewEntry {
  public:
@@ -39,6 +55,11 @@ class PackedViewEntry {
   static constexpr NodeId kMaxId = 0x7FFF'FFFEu;
 
   constexpr PackedViewEntry() = default;
+
+  // Whether `id` fits a packed slot (kNilNode does not).
+  [[nodiscard]] static constexpr bool packable(NodeId id) {
+    return id <= kMaxId;
+  }
 
   [[nodiscard]] static constexpr PackedViewEntry pack(NodeId id,
                                                       bool dependent) {
@@ -92,5 +113,43 @@ class PackedViewEntry {
 };
 
 static_assert(sizeof(PackedViewEntry) == 4);
+
+// Uniform over the slots of `row` (size slots, `matching` of them with
+// empty() == want_empty, matching > 0): rejection sampling against the
+// contiguous row (expected size/matching probes, all within the row's few
+// cache lines), with an exact k-th-match scan fallback so the draw
+// terminates. Each accepted probe is uniform over the matching slots, and
+// so is the fallback; a mixture of uniforms over the same set stays
+// uniform.
+[[nodiscard]] inline std::size_t random_slot(const PackedViewEntry* row,
+                                             std::size_t size,
+                                             std::size_t matching,
+                                             bool want_empty, Rng& rng) {
+  assert(matching > 0);
+  for (int probes = 0; probes < 64; ++probes) {
+    const std::size_t i = rng.uniform(size);
+    if (row[i].empty() == want_empty) return i;
+  }
+  std::size_t k = rng.uniform(matching);
+  for (std::size_t i = 0;; ++i) {
+    assert(i < size);
+    if (row[i].empty() == want_empty && k-- == 0) return i;
+  }
+}
+
+// Uniformly random empty slot of a row holding `degree` nonempty slots.
+[[nodiscard]] inline std::size_t random_empty_slot(const PackedViewEntry* row,
+                                                   std::size_t size,
+                                                   std::size_t degree,
+                                                   Rng& rng) {
+  return random_slot(row, size, size - degree, /*want_empty=*/true, rng);
+}
+
+// Uniformly random nonempty slot of a row holding `degree` nonempty slots.
+[[nodiscard]] inline std::size_t random_nonempty_slot(
+    const PackedViewEntry* row, std::size_t size, std::size_t degree,
+    Rng& rng) {
+  return random_slot(row, size, degree, /*want_empty=*/false, rng);
+}
 
 }  // namespace gossip

@@ -1,7 +1,9 @@
 #include "core/send_forget.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
+
+#include "core/send_forget_row.hpp"
 
 namespace gossip {
 
@@ -18,6 +20,13 @@ void SendForgetConfig::validate() const {
   if (min_degree + 6 > view_size) {
     throw std::invalid_argument("S&F requires dL <= s - 6");
   }
+  if (pairs_per_message < 1 || pairs_per_message > kMaxPairsPerMessage) {
+    throw std::invalid_argument("pairs_per_message must be in [1, 4]");
+  }
+  if (2 * pairs_per_message > view_size) {
+    throw std::invalid_argument(
+        "a batched message may not carry more ids than the view holds");
+  }
 }
 
 SendForgetConfig default_send_forget_config() {
@@ -27,42 +36,68 @@ SendForgetConfig default_send_forget_config() {
 SendForget::SendForget(NodeId self, const SendForgetConfig& config)
     : PeerProtocol(self, config.view_size), config_(config) {
   config_.validate();
+  if (!PackedViewEntry::packable(self)) {
+    throw std::invalid_argument("S&F node id does not fit a packed slot");
+  }
+}
+
+// Mark & undelete on the row rules: tombstone what is sent, revive
+// tombstones before duplicating.
+struct SendForget::Marks {
+  SendForget& node;
+
+  void refill() {
+    if (node.config_.mark_instead_of_clear) {
+      node.undelete(2 * node.config_.pairs_per_message);
+    }
+  }
+  void sent(std::size_t slot, PackedViewEntry entry) {
+    if (node.config_.mark_instead_of_clear) {
+      node.tombstones_.push_back(Tombstone{slot, entry.id_unchecked()});
+    }
+  }
+};
+
+void SendForget::undelete(std::size_t count) {
+  std::size_t revive = std::min(count, tombstones_.size());
+  revive -= revive % 2;  // pairs keep the degree even
+  for (std::size_t k = 0; k < revive; ++k) {
+    // The revived instance duplicates the copy that was sent out; label it
+    // dependent, like a duplication would be.
+    mutable_view().set(tombstones_[k].slot, ViewEntry{tombstones_[k].id, true});
+  }
+  tombstones_.erase(tombstones_.begin(),
+                    tombstones_.begin() + static_cast<std::ptrdiff_t>(revive));
+  undeletions_ += revive;
 }
 
 void SendForget::on_initiate(Rng& rng, Transport& transport) {
-  auto& view = mutable_view();
   auto& metrics = mutable_metrics();
   ++metrics.actions_initiated;
 
-  const auto [i, j] = rng.distinct_pair(view.capacity());
-  if (view.slot_empty(i) || view.slot_empty(j)) {
-    // "If either of them is empty, nothing happens" — a self-loop
-    // transformation in the MC model.
+  const ViewRow row = mutable_view().row();
+  FlatPush push;
+  const FlatInitiateResult result =
+      config_.pairs_per_message == 1
+          ? initiate_pair(row, config_.min_degree, self(), rng, push,
+                          Marks{*this})
+          : initiate_batch(row, config_.pairs_per_message,
+                           config_.min_degree, self(), rng, push,
+                           Marks{*this});
+  if (result == FlatInitiateResult::kSelfLoop) {
     ++metrics.self_loop_actions;
     return;
   }
+  if (result == FlatInitiateResult::kSentDuplicated) ++metrics.duplications;
 
-  const NodeId target = view.entry(i).id;  // v
-  const ViewEntry carried = view.entry(j); // w
-
-  const bool duplicate = view.degree() <= config_.min_degree;
-  if (duplicate) {
-    ++metrics.duplications;
-  } else {
-    view.clear(i);
-    view.clear(j);
-  }
-
-  // The message [u, w]. Dependence tags implement the dependence MC of
-  // Fig 7.1: ids sent *with* duplication are the newly created dependent
-  // instances; ids sent *without* duplication move (and become/remain
-  // representative, i.e. independent).
   Message message;
   message.from = self();
-  message.to = target;
+  message.to = push.to;
   message.kind = MessageKind::kPush;
-  message.payload = {ViewEntry{self(), duplicate},
-                     ViewEntry{carried.id, duplicate}};
+  message.payload.reserve(push.count);
+  for (std::uint32_t k = 0; k < push.count; ++k) {
+    message.payload.push_back(push.ids[k].unpack());
+  }
   transport.send(std::move(message));
   ++metrics.messages_sent;
 }
@@ -71,33 +106,40 @@ void SendForget::on_message(const Message& message, Rng& rng,
                             Transport& /*transport*/) {
   auto& metrics = mutable_metrics();
   ++metrics.messages_received;
-  // Trust boundary: a malformed message (wrong kind, or a payload whose
-  // size would break the even-degree invariant) is ignored outright.
-  if (message.kind != MessageKind::kPush || message.payload.size() != 2 ||
-      message.payload[0].empty() || message.payload[1].empty()) {
+  // Trust boundary: a malformed message is ignored outright — a wrong kind;
+  // an empty or odd-sized payload, which would break the even-degree
+  // invariant; more than 2 * kMaxPairsPerMessage ids; or an id the packed
+  // row cannot hold (an empty entry included).
+  const std::vector<ViewEntry>& payload = message.payload;
+  if (message.kind != MessageKind::kPush || payload.empty() ||
+      payload.size() % 2 != 0 || payload.size() > 2 * kMaxPairsPerMessage) {
     return;
   }
-  auto& view = mutable_view();
+  FlatPush push;
+  push.to = self();
+  push.count = static_cast<std::uint32_t>(payload.size());
+  for (std::size_t k = 0; k < payload.size(); ++k) {
+    if (!PackedViewEntry::packable(payload[k].id)) return;
+    push.ids[k] = PackedViewEntry::pack(payload[k].id, payload[k].dependent);
+  }
 
-  if (view.full()) {
-    // d(u) = s: the received ids are deleted.
-    ++metrics.deletions;
+  auto& view = mutable_view();
+  const std::size_t accepted = receive_push(view.row(), self(), push, rng);
+  metrics.ids_accepted += accepted;
+  // A tombstone is gone for good once a receive reuses its slot.
+  std::erase_if(tombstones_, [&view](const Tombstone& t) {
+    return !view.slot_empty(t.slot);
+  });
+  if (accepted == push.count) return;
+  if (!config_.replace_when_full) {
+    ++metrics.deletions;  // d(u) = s: the rest is deleted
     return;
   }
-  // Outdegree is even (Obs 5.1) and capacity is even, so a non-full view
-  // has at least two empty slots; stay robust anyway if a caller installed
-  // an odd-degree initial view.
-  assert(view.empty_slots() >= 2);
-  for (ViewEntry entry : message.payload) {
-    assert(!entry.empty());
-    if (view.full()) {
-      ++metrics.deletions;
-      break;
-    }
-    // A received copy of our own id forms a self-edge; the paper labels all
-    // self-edges dependent (§2).
-    if (entry.id == self()) entry.dependent = true;
-    view.set(view.random_empty_slot(rng), entry);
+  // Replace when full: each id that did not fit evicts a random entry.
+  for (std::size_t k = accepted; k < push.count; ++k) {
+    ViewEntry entry = push.ids[k].unpack();
+    if (entry.id == self()) entry.dependent = true;  // self-edge (§2)
+    view.set(view.random_nonempty_slot(rng), entry);
     ++metrics.ids_accepted;
   }
 }

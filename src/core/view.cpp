@@ -2,104 +2,36 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace gossip {
 
-LocalView::LocalView(std::size_t capacity)
-    : slots_(capacity), order_(capacity), pos_(capacity) {
+LocalView::LocalView(std::size_t capacity) : row_(capacity) {
   assert(capacity > 0);
-  for (std::size_t i = 0; i < capacity; ++i) {
-    order_[i] = static_cast<std::uint32_t>(i);
-    pos_[i] = static_cast<std::uint32_t>(i);
+  if (capacity > 0xFFFF) {
+    throw std::invalid_argument("a view holds at most 65535 slots");
   }
-}
-
-#ifndef NDEBUG
-void LocalView::check_index() const {
-  // The old implementation scanned the slots; assert the index agrees with
-  // such a scan: the first degree_ order_ entries are exactly the nonempty
-  // slots and the rest are exactly the empty ones.
-  for (std::size_t p = 0; p < order_.size(); ++p) {
-    const std::size_t slot = order_[p];
-    assert(slot < slots_.size());
-    assert(pos_[slot] == p);
-    assert(slots_[slot].empty() == (p >= degree_));
-  }
-}
-#endif
-
-bool LocalView::slot_empty(std::size_t i) const {
-  assert(i < slots_.size());
-  return slots_[i].empty();
-}
-
-const ViewEntry& LocalView::entry(std::size_t i) const {
-  assert(i < slots_.size());
-  return slots_[i];
 }
 
 void LocalView::set(std::size_t i, ViewEntry entry) {
-  assert(i < slots_.size());
-  assert(!entry.empty());
-  if (slots_[i].empty()) {
-    // Move slot i from the empty suffix into the nonempty prefix: swap it
-    // with the first empty position, then grow the prefix over it.
-    const std::uint32_t p = pos_[i];
-    const std::uint32_t boundary = static_cast<std::uint32_t>(degree_);
-    const std::uint32_t other = order_[boundary];
-    order_[p] = other;
-    pos_[other] = p;
-    order_[boundary] = static_cast<std::uint32_t>(i);
-    pos_[i] = boundary;
-    ++degree_;
+  assert(i < row_.size());
+  if (!PackedViewEntry::packable(entry.id)) {
+    throw std::invalid_argument("view entry id does not fit a packed slot");
   }
-  slots_[i] = entry;
+  if (row_[i].empty()) ++degree_;
+  row_[i] = PackedViewEntry::pack(entry.id, entry.dependent);
 }
 
 void LocalView::clear(std::size_t i) {
-  assert(i < slots_.size());
-  if (!slots_[i].empty()) {
-    --degree_;
-    // Mirror of set(): swap slot i with the last nonempty position so it
-    // lands in the empty suffix.
-    const std::uint32_t p = pos_[i];
-    const std::uint32_t boundary = static_cast<std::uint32_t>(degree_);
-    const std::uint32_t other = order_[boundary];
-    order_[p] = other;
-    pos_[other] = p;
-    order_[boundary] = static_cast<std::uint32_t>(i);
-    pos_[i] = boundary;
-  }
-  slots_[i] = ViewEntry{};
-}
-
-std::size_t LocalView::random_empty_slot(Rng& rng) const {
-  assert(empty_slots() > 0);
-#ifndef NDEBUG
-  check_index();
-#endif
-  // One uniform draw over the empty suffix of the occupancy index. Within
-  // each region order_ holds some permutation, so the draw is exactly
-  // uniform over empty slots — same distribution as the old O(s) scan.
-  const std::size_t chosen = order_[degree_ + rng.uniform(empty_slots())];
-  assert(slots_[chosen].empty());
-  return chosen;
-}
-
-std::size_t LocalView::random_nonempty_slot(Rng& rng) const {
-  assert(degree_ > 0);
-#ifndef NDEBUG
-  check_index();
-#endif
-  const std::size_t chosen = order_[rng.uniform(degree_)];
-  assert(!slots_[chosen].empty());
-  return chosen;
+  assert(i < row_.size());
+  if (!row_[i].empty()) --degree_;
+  row_[i] = PackedViewEntry{};
 }
 
 std::size_t LocalView::multiplicity(NodeId id) const {
   std::size_t count = 0;
-  for (const auto& slot : slots_) {
-    if (!slot.empty() && slot.id == id) ++count;
+  for (const PackedViewEntry slot : row_) {
+    if (!slot.empty() && slot.id_unchecked() == id) ++count;
   }
   return count;
 }
@@ -107,8 +39,8 @@ std::size_t LocalView::multiplicity(NodeId id) const {
 std::vector<ViewEntry> LocalView::entries() const {
   std::vector<ViewEntry> out;
   out.reserve(degree_);
-  for (const auto& slot : slots_) {
-    if (!slot.empty()) out.push_back(slot);
+  for (const PackedViewEntry slot : row_) {
+    if (!slot.empty()) out.push_back(slot.unpack());
   }
   return out;
 }
@@ -116,16 +48,16 @@ std::vector<ViewEntry> LocalView::entries() const {
 std::vector<NodeId> LocalView::ids() const {
   std::vector<NodeId> out;
   out.reserve(degree_);
-  for (const auto& slot : slots_) {
-    if (!slot.empty()) out.push_back(slot.id);
+  for (const PackedViewEntry slot : row_) {
+    if (!slot.empty()) out.push_back(slot.id_unchecked());
   }
   return out;
 }
 
 std::size_t LocalView::dependent_count() const {
   std::size_t count = 0;
-  for (const auto& slot : slots_) {
-    if (!slot.empty() && slot.dependent) ++count;
+  for (const PackedViewEntry slot : row_) {
+    if (slot.dependent()) ++count;
   }
   return count;
 }
@@ -141,11 +73,7 @@ std::size_t LocalView::intra_view_duplicates() const {
 }
 
 void LocalView::clear_all() {
-  for (auto& slot : slots_) slot = ViewEntry{};
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    order_[i] = static_cast<std::uint32_t>(i);
-    pos_[i] = static_cast<std::uint32_t>(i);
-  }
+  std::fill(row_.begin(), row_.end(), PackedViewEntry{});
   degree_ = 0;
 }
 

@@ -5,6 +5,10 @@
 // additionally carries a dependence tag used to *measure* the spatial
 // independence property (M4): a slot is tagged dependent when its content
 // was created by a duplication (see §7.4 and the dependence MC of Fig 7.1).
+//
+// The slots are one packed row (core/packed_view.hpp), the same layout as a
+// FlatSendForgetCluster row, so the S&F rules of core/send_forget_row.hpp
+// run on either.
 #pragma once
 
 #include <cstddef>
@@ -13,18 +17,16 @@
 
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
+#include "core/packed_view.hpp"
 
 namespace gossip {
 
-struct ViewEntry {
-  NodeId id = kNilNode;
-  // True if this id instance was created by duplication (or is a self-edge);
-  // propagated through messages. Purely observational: the protocol never
-  // reads it.
-  bool dependent = false;
-
-  [[nodiscard]] bool empty() const { return id == kNilNode; }
-  [[nodiscard]] bool operator==(const ViewEntry&) const = default;
+// A view row as the S&F rules see it: `size` packed slots and the
+// outdegree d(u), the number of nonempty ones.
+struct ViewRow {
+  PackedViewEntry* slots;
+  std::size_t size;
+  std::uint16_t& degree;
 };
 
 class LocalView {
@@ -32,10 +34,11 @@ class LocalView {
   // Creates a view with `capacity` slots, all empty. The paper requires the
   // capacity s to be even and >= 6 for its reachability proofs; that
   // constraint is enforced by the protocol configs, not here, so tests can
-  // exercise small views.
+  // exercise small views. Throws std::invalid_argument above 65535 slots
+  // (the degree is 16 bits, as in the flat engine).
   explicit LocalView(std::size_t capacity);
 
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return row_.size(); }
 
   // Outdegree d(u): number of nonempty slots.
   [[nodiscard]] std::size_t degree() const { return degree_; }
@@ -44,25 +47,30 @@ class LocalView {
   }
   [[nodiscard]] bool full() const { return degree_ == capacity(); }
 
-  [[nodiscard]] bool slot_empty(std::size_t i) const;
+  [[nodiscard]] bool slot_empty(std::size_t i) const { return row_[i].empty(); }
   // Slot contents; entry(i).empty() for an empty slot.
-  [[nodiscard]] const ViewEntry& entry(std::size_t i) const;
+  [[nodiscard]] ViewEntry entry(std::size_t i) const {
+    return row_[i].unpack();
+  }
 
   // Writes a nonempty entry into slot i (slot may be empty or occupied).
+  // Throws std::invalid_argument for an id the packed row cannot hold
+  // (above PackedViewEntry::kMaxId, kNilNode included).
   void set(std::size_t i, ViewEntry entry);
 
   // Empties slot i (idempotent).
   void clear(std::size_t i);
 
   // Uniformly random empty slot index. Requires empty_slots() > 0.
-  // O(1): one rng draw against the occupancy index (the index partitions
-  // slot numbers into a nonempty prefix and an empty suffix, maintained by
-  // set/clear), so hot receive paths no longer pay an O(s) reservoir scan.
-  [[nodiscard]] std::size_t random_empty_slot(Rng& rng) const;
+  [[nodiscard]] std::size_t random_empty_slot(Rng& rng) const {
+    return gossip::random_empty_slot(row_.data(), capacity(), degree_, rng);
+  }
 
-  // Uniformly random nonempty slot index. Requires degree() > 0. O(1), see
-  // random_empty_slot.
-  [[nodiscard]] std::size_t random_nonempty_slot(Rng& rng) const;
+  // Uniformly random nonempty slot index. Requires degree() > 0.
+  [[nodiscard]] std::size_t random_nonempty_slot(Rng& rng) const {
+    return gossip::random_nonempty_slot(row_.data(), capacity(), degree_,
+                                        rng);
+  }
 
   // Multiplicity of `id` among nonempty slots.
   [[nodiscard]] std::size_t multiplicity(NodeId id) const;
@@ -82,21 +90,12 @@ class LocalView {
 
   void clear_all();
 
- private:
-#ifndef NDEBUG
-  // Debug-only equivalence check of the occupancy index against a full scan
-  // of the slots (the pre-index implementation).
-  void check_index() const;
-#endif
+  // The row itself, for the S&F rules.
+  [[nodiscard]] ViewRow row() { return {row_.data(), row_.size(), degree_}; }
 
-  std::vector<ViewEntry> slots_;
-  // Occupancy index: `order_` is a permutation of slot numbers whose first
-  // degree_ entries are exactly the nonempty slots; `pos_[i]` is slot i's
-  // position within `order_`. set/clear maintain the partition with one
-  // swap, making uniform empty/nonempty slot draws O(1).
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> pos_;
-  std::size_t degree_ = 0;
+ private:
+  std::vector<PackedViewEntry> row_;
+  std::uint16_t degree_ = 0;
 };
 
 }  // namespace gossip

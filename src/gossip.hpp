@@ -32,7 +32,7 @@
 // Markov chains: the CSR chain every §6/§7 stationary solve runs on.
 #include "markov/sparse_chain.hpp"
 
-// The protocol, variants, baselines, and application API.
+// The protocol, baselines, and application API.
 #include "core/baselines/newscast.hpp"
 #include "core/baselines/push_pull.hpp"
 #include "core/baselines/shuffle.hpp"
@@ -41,7 +41,6 @@
 #include "core/peer_sampler.hpp"
 #include "core/protocol.hpp"
 #include "core/send_forget.hpp"
-#include "core/variants/send_forget_ext.hpp"
 #include "core/view.hpp"
 
 // Simulation.

@@ -20,7 +20,6 @@ FlatSendForgetCluster build_cluster(const RunSpec& spec) {
   FlatSendForgetCluster cluster(
       spec.nodes, spec.protocol,
       FlatClusterOptions{
-          .pairs_per_message = spec.pairs_per_message,
           .init_threads = spec.threads == 0 ? spec.shards : spec.threads});
   const std::size_t dl = spec.protocol.min_degree;
   if (spec.circulant) {

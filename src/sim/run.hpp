@@ -52,7 +52,6 @@ struct RunSpec {
   // its adjacency lists would dwarf the packed slab.
   std::size_t nodes = 0;
   SendForgetConfig protocol = default_send_forget_config();
-  std::size_t pairs_per_message = 1;
   std::uint64_t graph_seed = 1;
   bool circulant = false;
 

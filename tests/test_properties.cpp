@@ -10,7 +10,6 @@
 #include "analysis/degree_mc.hpp"
 #include "common/stats.hpp"
 #include "core/send_forget.hpp"
-#include "core/variants/send_forget_ext.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/graph_stats.hpp"
@@ -248,13 +247,13 @@ TEST_P(VariantSweep, InvariantsAndConnectivityUnderLoss) {
   const auto [mark, replace, pairs, loss_rate] = GetParam();
   Rng rng(900 + (mark ? 1 : 0) + (replace ? 2 : 0) + pairs);
   constexpr std::size_t kN = 400;
-  const SendForgetExtConfig cfg{.view_size = 24,
-                                .min_degree = 8,
-                                .pairs_per_message = pairs,
-                                .mark_instead_of_clear = mark,
-                                .replace_when_full = replace};
+  const SendForgetConfig cfg{.view_size = 24,
+                             .min_degree = 8,
+                             .pairs_per_message = pairs,
+                             .mark_instead_of_clear = mark,
+                             .replace_when_full = replace};
   Cluster cluster(kN, [cfg](NodeId id) {
-    return std::make_unique<SendForgetExt>(id, cfg);
+    return std::make_unique<SendForget>(id, cfg);
   });
   // Batching raises the activity threshold (an action needs 2*pairs
   // nonempty slots), so start well above it or the system quasi-freezes.

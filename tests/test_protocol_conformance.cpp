@@ -13,7 +13,6 @@
 #include "core/baselines/push_pull.hpp"
 #include "core/baselines/shuffle.hpp"
 #include "core/send_forget.hpp"
-#include "core/variants/send_forget_ext.hpp"
 #include "graph/graph_gen.hpp"
 #include "sim/round_driver.hpp"
 #include "test_support.hpp"
@@ -153,9 +152,9 @@ INSTANTIATE_TEST_SUITE_P(
                           }},
         ProtocolUnderTest{"send_forget_ext",
                           [](NodeId id) {
-                            return std::make_unique<SendForgetExt>(
+                            return std::make_unique<SendForget>(
                                 id,
-                                SendForgetExtConfig{
+                                SendForgetConfig{
                                     .view_size = 16,
                                     .min_degree = 6,
                                     .pairs_per_message = 2,

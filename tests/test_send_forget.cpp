@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
+#include "core/flat_send_forget.hpp"
 #include "test_support.hpp"
 
 namespace gossip {
@@ -203,6 +206,104 @@ TEST(SendForget, OutdegreeInvariantUnderRandomChurnOfMessages) {
 TEST(SendForget, ConstructorRejectsBadConfig) {
   EXPECT_THROW(SendForget(0, SendForgetConfig{.view_size = 5, .min_degree = 0}),
                std::invalid_argument);
+}
+
+// Drives n SendForget objects by hand next to one FlatSendForgetCluster:
+// the same initiator and loss schedule, cloned protocol RNG streams. The
+// two engines share their rules, so after every step the outcome, the
+// message, and the degree and row of each node touched must be equal; any
+// divergence in a slot draw desynchronizes the streams for good.
+void expect_lockstep_with_flat_engine(std::size_t pairs) {
+  const std::size_t n = 600;
+  const SendForgetConfig cfg{.view_size = 40,
+                             .min_degree = 18,
+                             .pairs_per_message = pairs};
+  FlatSendForgetCluster flat(n, cfg);
+  std::vector<std::unique_ptr<SendForget>> nodes;
+  for (NodeId u = 0; u < n; ++u) {
+    nodes.push_back(std::make_unique<SendForget>(u, cfg));
+  }
+  // A circulant dL-regular start, with a block of full views so the
+  // d(u) = s deletion path runs early.
+  for (NodeId u = 0; u < n; ++u) {
+    std::vector<NodeId> ids;
+    const std::size_t degree = u < 64 ? cfg.view_size : cfg.min_degree;
+    for (std::size_t j = 0; j < degree; ++j) {
+      ids.push_back(static_cast<NodeId>((u + j + 1) % n));
+    }
+    flat.install_view(u, ids);
+    nodes[u]->install_view(ids);
+  }
+  const auto expect_same_row = [&](NodeId u) {
+    const LocalView& view = nodes[u]->view();
+    ASSERT_EQ(view.degree(), flat.degree(u)) << "node " << u;
+    for (std::size_t i = 0; i < cfg.view_size; ++i) {
+      ASSERT_EQ(view.entry(i), flat.slots(u)[i].unpack())
+          << "node " << u << " slot " << i;
+    }
+  };
+
+  Rng schedule(5);  // who initiates and what is lost: not a protocol draw
+  Rng flat_rng(424242);
+  Rng object_rng = flat_rng;
+  CaptureTransport transport;
+  std::uint64_t sent = 0;
+  std::uint64_t duplicated = 0;
+  std::uint64_t deletions = 0;
+  for (int step = 0; step < 100'000; ++step) {
+    const auto u = static_cast<NodeId>(schedule.uniform(n));
+    FlatPush push;
+    const FlatInitiateResult result = flat.initiate(u, flat_rng, push);
+    const ProtocolMetrics before = nodes[u]->metrics();
+    transport.sent.clear();
+    nodes[u]->on_initiate(object_rng, transport);
+    const ProtocolMetrics& after = nodes[u]->metrics();
+    ASSERT_EQ(after.self_loop_actions - before.self_loop_actions,
+              result == FlatInitiateResult::kSelfLoop ? 1u : 0u);
+    ASSERT_EQ(after.duplications - before.duplications,
+              result == FlatInitiateResult::kSentDuplicated ? 1u : 0u);
+    ASSERT_NO_FATAL_FAILURE(expect_same_row(u));
+    if (result == FlatInitiateResult::kSelfLoop) {
+      ASSERT_TRUE(transport.sent.empty());
+      continue;
+    }
+    ++sent;
+    if (result == FlatInitiateResult::kSentDuplicated) ++duplicated;
+    ASSERT_EQ(transport.sent.size(), 1u);
+    const Message& message = transport.sent.front();
+    ASSERT_EQ(message.to, push.to);
+    ASSERT_EQ(message.payload.size(), push.count);
+    ASSERT_EQ(push.count, 2 * pairs);
+    for (std::size_t k = 0; k < push.count; ++k) {
+      ASSERT_EQ(message.payload[k], push.ids[k].unpack());
+    }
+    if (schedule.bernoulli(0.05)) continue;
+    const NodeId v = push.to;
+    const std::size_t accepted = flat.receive(v, push, flat_rng);
+    const ProtocolMetrics received_before = nodes[v]->metrics();
+    nodes[v]->on_message(message, object_rng, transport);
+    const ProtocolMetrics& received_after = nodes[v]->metrics();
+    ASSERT_EQ(received_after.ids_accepted - received_before.ids_accepted,
+              accepted);
+    const bool deleted = accepted < push.count;
+    ASSERT_EQ(received_after.deletions - received_before.deletions,
+              deleted ? 1u : 0u);
+    if (deleted) ++deletions;
+    ASSERT_NO_FATAL_FAILURE(expect_same_row(v));
+  }
+  // The run must have exercised every interesting path.
+  EXPECT_GT(sent, 10'000u);
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_GT(deletions, 0u);
+  for (NodeId u = 0; u < n; ++u) ASSERT_NO_FATAL_FAILURE(expect_same_row(u));
+}
+
+TEST(SendForget, LockstepWithFlatEngine) {
+  expect_lockstep_with_flat_engine(1);
+}
+
+TEST(SendForget, BatchedLockstepWithFlatEngine) {
+  expect_lockstep_with_flat_engine(2);
 }
 
 }  // namespace

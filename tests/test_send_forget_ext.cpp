@@ -1,5 +1,7 @@
-#include "core/variants/send_forget_ext.hpp"
-
+// SendForget's §5 extension options: mark & undelete, replace when full
+// and batched messages (SendForgetConfig's mark_instead_of_clear,
+// replace_when_full and pairs_per_message). The suites are named for the
+// extensions: SendForgetExt and SendForgetExtConfig.
 #include "core/send_forget.hpp"
 
 #include <gtest/gtest.h>
@@ -7,9 +9,12 @@
 #include <stdexcept>
 
 #include "analysis/degree_mc.hpp"
+#include "core/flat_send_forget.hpp"
+#include "graph/digraph.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/graph_stats.hpp"
 #include "sim/round_driver.hpp"
+#include "sim/sharded_driver.hpp"
 
 #include "test_support.hpp"
 
@@ -18,8 +23,8 @@ namespace {
 
 using testing::CaptureTransport;
 
-SendForgetExtConfig base_config() {
-  return SendForgetExtConfig{.view_size = 8, .min_degree = 2};
+SendForgetConfig base_config() {
+  return SendForgetConfig{.view_size = 8, .min_degree = 2};
 }
 
 TEST(SendForgetExtConfig, Validation) {
@@ -31,16 +36,41 @@ TEST(SendForgetExtConfig, Validation) {
   cfg.pairs_per_message = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = base_config();
-  cfg.pairs_per_message = 5;  // 10 ids > s = 8
+  cfg.pairs_per_message = 4;  // p = kMaxPairsPerMessage, 8 ids = s
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.pairs_per_message = 5;  // p > kMaxPairsPerMessage
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = SendForgetConfig{.view_size = 6, .min_degree = 0};
+  cfg.pairs_per_message = 3;  // 6 ids = s
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.pairs_per_message = 4;  // 8 ids > s = 6
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = base_config();
   cfg.min_degree = 4;  // dL <= s - 6 violated
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = base_config();
+  cfg.mark_instead_of_clear = true;
+  cfg.replace_when_full = true;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(SendForgetExtConfig, FlatEngineRejectsObjectOnlyOptions) {
+  auto cfg = default_send_forget_config();
+  cfg.mark_instead_of_clear = true;
+  EXPECT_THROW(FlatSendForgetCluster(16, cfg), std::invalid_argument);
+  cfg = default_send_forget_config();
+  cfg.replace_when_full = true;
+  EXPECT_THROW(FlatSendForgetCluster(16, cfg), std::invalid_argument);
+  cfg = default_send_forget_config();
+  cfg.pairs_per_message = 2;
+  EXPECT_NO_THROW(FlatSendForgetCluster(16, cfg));
+  cfg.pairs_per_message = 5;
+  EXPECT_THROW(FlatSendForgetCluster(16, cfg), std::invalid_argument);
 }
 
 TEST(SendForgetExt, BaseConfigurationMatchesSendForgetSemantics) {
   // p = 1, no flags: one action clears two slots and sends [u, w].
-  SendForgetExt node(5, base_config());
+  SendForget node(5, base_config());
   node.install_view({1, 2, 3, 4});
   Rng rng(1);
   CaptureTransport transport;
@@ -55,7 +85,7 @@ TEST(SendForgetExt, BaseConfigurationMatchesSendForgetSemantics) {
 TEST(SendForgetExt, BatchedMessageCarriesMoreIds) {
   auto cfg = base_config();
   cfg.pairs_per_message = 2;  // 4 ids per message
-  SendForgetExt node(9, cfg);
+  SendForget node(9, cfg);
   node.install_view({1, 2, 3, 4, 5, 6});
   Rng rng(2);
   CaptureTransport transport;
@@ -70,7 +100,7 @@ TEST(SendForgetExt, BatchedMessageCarriesMoreIds) {
 TEST(SendForgetExt, BatchedDuplicationAtThreshold) {
   auto cfg = base_config();
   cfg.pairs_per_message = 2;
-  SendForgetExt node(9, cfg);
+  SendForget node(9, cfg);
   node.install_view({1, 2, 3, 4});  // 4 - 4 < dL=2 -> duplicate
   Rng rng(3);
   CaptureTransport transport;
@@ -83,7 +113,7 @@ TEST(SendForgetExt, BatchedDuplicationAtThreshold) {
 TEST(SendForgetExt, MarkModeCreatesTombstones) {
   auto cfg = base_config();
   cfg.mark_instead_of_clear = true;
-  SendForgetExt node(7, cfg);
+  SendForget node(7, cfg);
   node.install_view({1, 2, 3, 4});
   Rng rng(4);
   CaptureTransport transport;
@@ -96,7 +126,7 @@ TEST(SendForgetExt, MarkModeCreatesTombstones) {
 TEST(SendForgetExt, MarkModeUndeletesInsteadOfDuplicating) {
   auto cfg = base_config();
   cfg.mark_instead_of_clear = true;
-  SendForgetExt node(7, cfg);
+  SendForget node(7, cfg);
   node.install_view({1, 2, 3, 4});
   Rng rng(5);
   CaptureTransport transport;
@@ -118,7 +148,7 @@ TEST(SendForgetExt, MarkModeUndeletesInsteadOfDuplicating) {
 TEST(SendForgetExt, MarkModeFallsBackToDuplicationWithoutTombstones) {
   auto cfg = base_config();
   cfg.mark_instead_of_clear = true;
-  SendForgetExt node(7, cfg);
+  SendForget node(7, cfg);
   node.install_view({1, 2});  // at dL, no tombstones available
   Rng rng(6);
   CaptureTransport transport;
@@ -131,7 +161,7 @@ TEST(SendForgetExt, MarkModeFallsBackToDuplicationWithoutTombstones) {
 TEST(SendForgetExt, ReceiveReusesTombstonedSlots) {
   auto cfg = base_config();
   cfg.mark_instead_of_clear = true;
-  SendForgetExt node(7, cfg);
+  SendForget node(7, cfg);
   node.install_view({1, 2, 3, 4, 5, 6, 8, 9});  // full (8 slots)
   Rng rng(7);
   CaptureTransport transport;
@@ -153,7 +183,7 @@ TEST(SendForgetExt, ReceiveReusesTombstonedSlots) {
 TEST(SendForgetExt, ReplaceWhenFullEvictsInsteadOfDeleting) {
   auto cfg = base_config();
   cfg.replace_when_full = true;
-  SendForgetExt node(7, cfg);
+  SendForget node(7, cfg);
   node.install_view({1, 2, 3, 4, 5, 6, 8, 9});
   ASSERT_TRUE(node.view().full());
   Rng rng(8);
@@ -166,7 +196,7 @@ TEST(SendForgetExt, ReplaceWhenFullEvictsInsteadOfDeleting) {
   node.on_message(m, rng, transport);
   EXPECT_TRUE(node.view().contains(30));
   EXPECT_TRUE(node.view().contains(31));
-  EXPECT_EQ(node.replacements(), 2u);
+  EXPECT_EQ(node.metrics().ids_accepted, 2u);
   EXPECT_EQ(node.metrics().deletions, 0u);
   EXPECT_TRUE(node.view().full());
 }
@@ -174,12 +204,12 @@ TEST(SendForgetExt, ReplaceWhenFullEvictsInsteadOfDeleting) {
 TEST(SendForgetExt, DegreeInvariantAcrossRandomTraffic) {
   for (const bool mark : {false, true}) {
     for (const bool replace : {false, true}) {
-      auto cfg = SendForgetExtConfig{.view_size = 12,
+      auto cfg = SendForgetConfig{.view_size = 12,
                                      .min_degree = 4,
                                      .pairs_per_message = 2,
                                      .mark_instead_of_clear = mark,
                                      .replace_when_full = replace};
-      SendForgetExt node(0, cfg);
+      SendForget node(0, cfg);
       node.install_view({1, 2, 3, 4, 5, 6});
       Rng rng(100 + (mark ? 1 : 0) + (replace ? 2 : 0));
       CaptureTransport transport;
@@ -205,29 +235,41 @@ TEST(SendForgetExt, DegreeInvariantAcrossRandomTraffic) {
 }
 
 
-TEST(SendForgetExt, BaseConfigStatisticallyMatchesSendForget) {
-  // With p = 1 and both flags off, the variant IS the base protocol; the
-  // two implementations must land on the same steady state.
-  auto run = [](bool ext) {
-    Rng rng(321);
-    sim::Cluster cluster(600, [ext](NodeId id) -> std::unique_ptr<PeerProtocol> {
-      if (ext) {
-        return std::make_unique<SendForgetExt>(
-            id, SendForgetExtConfig{.view_size = 24, .min_degree = 8});
-      }
-      return std::make_unique<SendForget>(
-          id, SendForgetConfig{.view_size = 24, .min_degree = 8});
+TEST(SendForgetExt, BaseConfigStatisticallyMatchesFlatEngine) {
+  // With p = 1 and both flags off, the object engine on the round driver
+  // and the flat engine on the sharded driver run the same rules under
+  // different schedules; they must land on the same steady state.
+  const SendForgetConfig cfg{.view_size = 24, .min_degree = 8};
+  Rng rng(321);
+  const Digraph start = permutation_regular(600, 6, rng);
+  const auto object_engine = [&] {
+    Rng run_rng(321);
+    sim::Cluster cluster(600, [&cfg](NodeId id) {
+      return std::make_unique<SendForget>(id, cfg);
     });
-    cluster.install_graph(permutation_regular(600, 6, rng));
+    cluster.install_graph(start);
     sim::UniformLoss loss(0.05);
-    sim::RoundDriver driver(cluster, loss, rng);
+    sim::RoundDriver driver(cluster, loss, run_rng);
     driver.run_rounds(400);
     return degree_summary(cluster.snapshot());
-  };
-  const auto base = run(false);
-  const auto ext = run(true);
-  EXPECT_NEAR(base.out_mean, ext.out_mean, 0.4);
-  EXPECT_NEAR(base.in_variance, ext.in_variance, base.in_variance * 0.3);
+  }();
+  const auto flat_engine = [&] {
+    FlatSendForgetCluster cluster(600, cfg);
+    cluster.install_graph(start);
+    sim::ShardedDriver driver(cluster,
+                              sim::ShardedDriverConfig{.shard_count = 1,
+                                                       .loss_rate = 0.05,
+                                                       .seed = 321});
+    driver.run_rounds(400);
+    Digraph overlay(600);
+    for (NodeId u = 0; u < 600; ++u) {
+      for (const NodeId v : cluster.view_ids(u)) overlay.add_edge(u, v);
+    }
+    return degree_summary(overlay);
+  }();
+  EXPECT_NEAR(object_engine.out_mean, flat_engine.out_mean, 0.4);
+  EXPECT_NEAR(object_engine.in_variance, flat_engine.in_variance,
+              object_engine.in_variance * 0.3);
 }
 
 TEST(SendForgetExt, MarkVariantDegreesMatchBaseDegreeMc) {
@@ -242,8 +284,8 @@ TEST(SendForgetExt, MarkVariantDegreesMatchBaseDegreeMc) {
 
   Rng rng(654);
   sim::Cluster cluster(800, [](NodeId id) {
-    return std::make_unique<SendForgetExt>(
-        id, SendForgetExtConfig{.view_size = 24,
+    return std::make_unique<SendForget>(
+        id, SendForgetConfig{.view_size = 24,
                                 .min_degree = 8,
                                 .mark_instead_of_clear = true});
   });

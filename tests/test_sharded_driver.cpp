@@ -243,8 +243,10 @@ TEST(ShardedDriver, BatchedPairsDeterministicAcrossThreadCounts) {
   // frames; the determinism contract must hold for them too. Runs under
   // ThreadSanitizer via the suite's `tsan` label.
   const auto run = [](std::size_t threads) {
-    FlatSendForgetCluster cluster(2048, default_send_forget_config(),
-                                  FlatClusterOptions{.pairs_per_message = 2});
+    FlatSendForgetCluster cluster(
+        2048, SendForgetConfig{.view_size = 40,
+                               .min_degree = 18,
+                               .pairs_per_message = 2});
     install_regular_topology(cluster, 18, 5);
     ShardedDriver driver(cluster, ShardedDriverConfig{.shard_count = 4,
                                                       .thread_count = threads,
@@ -262,9 +264,11 @@ TEST(ShardedDriver, BatchedPairsDeterministicAcrossThreadCounts) {
 TEST(ShardedDriver, BatchedPairsAcceptPartialPayloads) {
   // A 2p-id delivery into a view with fewer than 2p empty slots accepts
   // the prefix that fits and records exactly one deletion (§5 /
-  // SendForgetExt semantics) — visible through ids_accepted < 2p * count.
-  FlatSendForgetCluster cluster(512, default_send_forget_config(),
-                                FlatClusterOptions{.pairs_per_message = 2});
+  // SendForget semantics) — visible through ids_accepted < 2p * count.
+  FlatSendForgetCluster cluster(
+      512, SendForgetConfig{.view_size = 40,
+                            .min_degree = 18,
+                            .pairs_per_message = 2});
   install_regular_topology(cluster, 36, 7);  // near-full views
   ShardedDriver driver(cluster, ShardedDriverConfig{.shard_count = 2,
                                                     .thread_count = 1,

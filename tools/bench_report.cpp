@@ -308,8 +308,8 @@ BenchResult run_sharded(sim::RunSpec spec,
                      : mode == ShardedMode::kRecorder
                          ? "sharded_flat_recorder"
                          : "sharded_flat";
-  if (spec.pairs_per_message > 1) {
-    name += "_p" + std::to_string(spec.pairs_per_message);
+  if (spec.protocol.pairs_per_message > 1) {
+    name += "_p" + std::to_string(spec.protocol.pairs_per_message);
   }
   const double rss_after = rss_mib();
   const std::size_t n = spec.nodes;
@@ -2359,7 +2359,7 @@ int main(int argc, char** argv) {
     results.push_back(std::move(r));
   };
   const auto batched = [](sim::RunSpec spec) {
-    spec.pairs_per_message = 2;
+    spec.protocol.pairs_per_message = 2;
     return spec;
   };
   // The 10M leg's seeding: circulant install_slot (no Digraph) with

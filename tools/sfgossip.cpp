@@ -34,6 +34,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -52,7 +53,6 @@
 #include "core/baselines/shuffle.hpp"
 #include "core/baselines/swim.hpp"
 #include "core/send_forget.hpp"
-#include "core/variants/send_forget_ext.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/graph_io.hpp"
@@ -173,51 +173,49 @@ int cmd_simulate_retune(const ArgParser& args) {
   return run.oracle()->monitor().violation_transitions() == 0 ? 0 : 1;
 }
 
+constexpr const char* kSimulateUsage =
+    "sfgossip simulate [options]\n"
+    "  --nodes N         system size                  (default 1000)\n"
+    "  --rounds R        gossip rounds                (default 300)\n"
+    "  --loss L          message loss rate            (default 0.01)\n"
+    "  --view-size S     view slots s                 (default 40)\n"
+    "  --min-degree D    duplication threshold dL     (default 18)\n"
+    "  --protocol P      sf|sfext|shuffle|pushpull|newscast (default sf)\n"
+    "  --driver D        round|event                  (default round)\n"
+    "  --join-rate X     expected joins per round     (default 0)\n"
+    "  --leave-rate Y    expected leaves per round    (default 0)\n"
+    "  --seed S          RNG seed                     (default 1)\n"
+    "  --csv FILE        write the degree histogram as CSV\n"
+    "  --dump FILE       write the final membership graph\n"
+    "  --metrics-out F   write round time-series (+ watchdog report for\n"
+    "                    sf/sfext): .csv ext = series CSV, else JSON\n"
+    "  --metrics-stride N  rounds between samples     (default 10)\n"
+    "  --trace-out FILE  record protocol events in a flight-recorder\n"
+    "                    ring and dump it at the end (read it back with\n"
+    "                    'sfgossip trace-dump FILE')\n"
+    "  --trace-capacity N  ring capacity, rounded to a power of two\n"
+    "                    (default 32768; the ring keeps the LAST N)\n"
+    "  --perfetto-out F  render the flight-recorder ring as Chrome-trace\n"
+    "                    JSON loadable in ui.perfetto.dev (implies a\n"
+    "                    recorder; honors --trace-capacity)\n"
+    "  --snapshot-out F  stream delta-encoded registry snapshots as\n"
+    "                    JSONL while the run progresses\n"
+    "  --prom-out FILE   rewrite a Prometheus text exposition at each\n"
+    "                    snapshot (textfile-collector style)\n"
+    "  --snapshot-stride N  rounds between snapshots   (default 10)\n"
+    "  --retune          close the loop: sharded sf run with the theory\n"
+    "                    oracle attached and the §6.3 controller re-\n"
+    "                    solving dL (exact §6.2 solve) under loss\n"
+    "                    drift; defaults to a sustained 12% spike from\n"
+    "                    round 400 (exit 1 on any drift VIOLATION)\n"
+    "    --shards T        worker shards              (default 2)\n"
+    "    --warmup W        oracle warmup rounds       (default 300)\n"
+    "    --spike-begin R   spike start round          (default 400)\n"
+    "    --spike-end R     spike end round            (default: run end)\n"
+    "    --spike-rate X    spiked loss rate           (default 0.12)\n"
+    "    --json FILE       write oracle + retune JSON\n";
+
 int cmd_simulate(const ArgParser& args) {
-  if (args.has("help")) {
-    std::printf(
-        "sfgossip simulate [options]\n"
-        "  --nodes N         system size                  (default 1000)\n"
-        "  --rounds R        gossip rounds                (default 300)\n"
-        "  --loss L          message loss rate            (default 0.01)\n"
-        "  --view-size S     view slots s                 (default 40)\n"
-        "  --min-degree D    duplication threshold dL     (default 18)\n"
-        "  --protocol P      sf|sfext|shuffle|pushpull|newscast (default sf)\n"
-        "  --driver D        round|event                  (default round)\n"
-        "  --join-rate X     expected joins per round     (default 0)\n"
-        "  --leave-rate Y    expected leaves per round    (default 0)\n"
-        "  --seed S          RNG seed                     (default 1)\n"
-        "  --csv FILE        write the degree histogram as CSV\n"
-        "  --dump FILE       write the final membership graph\n"
-        "  --metrics-out F   write round time-series (+ watchdog report for\n"
-        "                    sf/sfext): .csv ext = series CSV, else JSON\n"
-        "  --metrics-stride N  rounds between samples     (default 10)\n"
-        "  --trace-out FILE  record protocol events in a flight-recorder\n"
-        "                    ring and dump it at the end (read it back with\n"
-        "                    'sfgossip trace-dump FILE')\n"
-        "  --trace-capacity N  ring capacity, rounded to a power of two\n"
-        "                    (default 32768; the ring keeps the LAST N)\n"
-        "  --perfetto-out F  render the flight-recorder ring as Chrome-trace\n"
-        "                    JSON loadable in ui.perfetto.dev (implies a\n"
-        "                    recorder; honors --trace-capacity)\n"
-        "  --snapshot-out F  stream delta-encoded registry snapshots as\n"
-        "                    JSONL while the run progresses\n"
-        "  --prom-out FILE   rewrite a Prometheus text exposition at each\n"
-        "                    snapshot (textfile-collector style)\n"
-        "  --snapshot-stride N  rounds between snapshots   (default 10)\n"
-        "  --retune          close the loop: sharded sf run with the theory\n"
-        "                    oracle attached and the §6.3 controller re-\n"
-        "                    solving dL (exact §6.2 solve) under loss\n"
-        "                    drift; defaults to a sustained 12%% spike from\n"
-        "                    round 400 (exit 1 on any drift VIOLATION)\n"
-        "    --shards T        worker shards              (default 2)\n"
-        "    --warmup W        oracle warmup rounds       (default 300)\n"
-        "    --spike-begin R   spike start round          (default 400)\n"
-        "    --spike-end R     spike end round            (default: run end)\n"
-        "    --spike-rate X    spiked loss rate           (default 0.12)\n"
-        "    --json FILE       write oracle + retune JSON\n");
-    return 0;
-  }
   if (args.has("retune")) {
     if (args.get_string("protocol", "sf") != "sf") {
       throw CliError("--retune drives the flat S&F engine (--protocol sf)");
@@ -245,12 +243,12 @@ int cmd_simulate(const ArgParser& args) {
       return std::make_unique<SendForget>(id, cfg);
     };
   } else if (protocol == "sfext") {
-    const SendForgetExtConfig cfg{.view_size = view_size,
-                                  .min_degree = min_degree,
-                                  .mark_instead_of_clear = true};
+    const SendForgetConfig cfg{.view_size = view_size,
+                               .min_degree = min_degree,
+                               .mark_instead_of_clear = true};
     cfg.validate();
     factory = [cfg](NodeId id) {
-      return std::make_unique<SendForgetExt>(id, cfg);
+      return std::make_unique<SendForget>(id, cfg);
     };
   } else if (protocol == "shuffle") {
     factory = [view_size](NodeId id) {
@@ -499,15 +497,13 @@ int cmd_simulate(const ArgParser& args) {
 
 // -------------------------------------------------------------- degrees
 
+constexpr const char* kDegreesUsage =
+    "sfgossip degrees [options] — solve the degree Markov chain (§6.2)\n"
+    "  --view-size S   (default 40)   --min-degree D (default 18)\n"
+    "  --loss L        (default 0)    --fixed-sum DM (Fig 6.1 mode)\n"
+    "  --csv FILE      write both pmfs as CSV\n";
+
 int cmd_degrees(const ArgParser& args) {
-  if (args.has("help")) {
-    std::printf(
-        "sfgossip degrees [options] — solve the degree Markov chain (§6.2)\n"
-        "  --view-size S   (default 40)   --min-degree D (default 18)\n"
-        "  --loss L        (default 0)    --fixed-sum DM (Fig 6.1 mode)\n"
-        "  --csv FILE      write both pmfs as CSV\n");
-    return 0;
-  }
   analysis::DegreeMcParams params;
   params.view_size = args.get_size("view-size", 40, 6, 512);
   params.min_degree = args.get_size("min-degree", 18, 0, 506);
@@ -549,11 +545,10 @@ int cmd_degrees(const ArgParser& args) {
 
 // ----------------------------------------------------------- thresholds
 
+constexpr const char* kThresholdsUsage =
+    "sfgossip thresholds --target-degree D [--delta X]\n";
+
 int cmd_thresholds(const ArgParser& args) {
-  if (args.has("help")) {
-    std::printf("sfgossip thresholds --target-degree D [--delta X]\n");
-    return 0;
-  }
   const auto target = args.get_size("target-degree", 30, 2, 1000);
   const double delta = args.get_double("delta", 0.01, 1e-9, 0.49);
   const auto sel = analysis::select_thresholds(target, delta);
@@ -567,13 +562,11 @@ int cmd_thresholds(const ArgParser& args) {
 
 // ---------------------------------------------------------------- decay
 
+constexpr const char* kDecayUsage =
+    "sfgossip decay [--view-size S] [--min-degree D] [--loss L]\n"
+    "               [--delta X] [--rounds R] [--csv FILE]\n";
+
 int cmd_decay(const ArgParser& args) {
-  if (args.has("help")) {
-    std::printf(
-        "sfgossip decay [--view-size S] [--min-degree D] [--loss L]\n"
-        "               [--delta X] [--rounds R] [--csv FILE]\n");
-    return 0;
-  }
   analysis::DecayParams params{
       .view_size = args.get_size("view-size", 40, 1, 512),
       .min_degree = args.get_size("min-degree", 18, 0, 512),
@@ -604,12 +597,10 @@ int cmd_decay(const ArgParser& args) {
 
 // --------------------------------------------------------- connectivity
 
+constexpr const char* kConnectivityUsage =
+    "sfgossip connectivity [--loss L] [--delta X] [--epsilon E]\n";
+
 int cmd_connectivity(const ArgParser& args) {
-  if (args.has("help")) {
-    std::printf(
-        "sfgossip connectivity [--loss L] [--delta X] [--epsilon E]\n");
-    return 0;
-  }
   const double loss_rate = args.get_double("loss", 0.01, 0.0, 0.49);
   const double delta = args.get_double("delta", 0.01, 0.0, 0.49);
   const double epsilon = args.get_double("epsilon", 1e-30, 1e-300, 0.999);
@@ -623,12 +614,10 @@ int cmd_connectivity(const ArgParser& args) {
 
 // ----------------------------------------------------------------- walk
 
+constexpr const char* kWalkUsage =
+    "sfgossip walk [--nodes N] [--length L] [--loss X] [--trials T]\n";
+
 int cmd_walk(const ArgParser& args) {
-  if (args.has("help")) {
-    std::printf(
-        "sfgossip walk [--nodes N] [--length L] [--loss X] [--trials T]\n");
-    return 0;
-  }
   const auto nodes = args.get_size("nodes", 1000, 8, 100'000);
   const auto length = args.get_size("length", 10, 1, 10'000);
   const double loss_rate = args.get_double("loss", 0.05, 0.0, 0.99);
@@ -662,16 +651,14 @@ int cmd_walk(const ArgParser& args) {
 
 // ------------------------------------------------------------- globalmc
 
+constexpr const char* kGlobalmcUsage =
+    "sfgossip globalmc [--nodes N (2-4)] [--view-size S] "
+    "[--min-degree D]\n"
+    "                  [--loss L] [--init-degree K] [--max-states M]\n"
+    "builds the exhaustive global Markov chain over membership graphs\n"
+    "and reports the paper's structural lemma checks.\n";
+
 int cmd_globalmc(const ArgParser& args) {
-  if (args.has("help")) {
-    std::printf(
-        "sfgossip globalmc [--nodes N (2-4)] [--view-size S] "
-        "[--min-degree D]\n"
-        "                  [--loss L] [--init-degree K] [--max-states M]\n"
-        "builds the exhaustive global Markov chain over membership graphs\n"
-        "and reports the paper's structural lemma checks.\n");
-    return 0;
-  }
   const auto n = args.get_size("nodes", 3, 2, 5);
   analysis::GlobalMcParams params;
   params.config.view_size = args.get_size("view-size", 6, 6, 16);
@@ -709,14 +696,16 @@ int cmd_globalmc(const ArgParser& args) {
 
 // ----------------------------------------------------------------- plan
 
+constexpr const char* kPlanUsage =
+    "sfgossip plan FROM.graph TO.graph [--view-size S] [--emit FILE]\n"
+    "plans a Lemma A.1 move sequence transforming FROM into TO\n"
+    "(same node count and sum-degree vectors required; files in the\n"
+    "membership-graph v1 format written by 'simulate --dump').\n";
+
 int cmd_plan(const ArgParser& args) {
-  if (args.has("help") || args.positional().size() < 2) {
-    std::printf(
-        "sfgossip plan FROM.graph TO.graph [--view-size S] [--emit FILE]\n"
-        "plans a Lemma A.1 move sequence transforming FROM into TO\n"
-        "(same node count and sum-degree vectors required; files in the\n"
-        "membership-graph v1 format written by 'simulate --dump').\n");
-    return args.has("help") ? 0 : 2;
+  if (args.positional().size() < 2) {
+    std::fputs(kPlanUsage, stdout);
+    return 2;
   }
   const Digraph from = load_graph(args.positional()[0]);
   const Digraph to = load_graph(args.positional()[1]);
@@ -749,20 +738,22 @@ int cmd_plan(const ArgParser& args) {
 
 // ----------------------------------------------------------- trace-dump
 
+constexpr const char* kTraceDumpUsage =
+    "sfgossip trace-dump FILE [options] — inspect a flight-recorder "
+    "dump\n"
+    "  --message ID    only the lifecycle of one message id (0x.. ok)\n"
+    "  --node N        only events naming node N (actor or peer)\n"
+    "  --limit K       print at most K events        (default 100)\n"
+    "  --json          machine-readable output (one JSON object; the\n"
+    "                  same filters and limit apply)\n"
+    "FILE is a dump written by 'simulate --trace-out', 'chaos\n"
+    "--trace-out', or by the TheoryOracle on a drift violation\n"
+    "(bench_report --drift).\n";
+
 int cmd_trace_dump(const ArgParser& args) {
-  if (args.has("help") || args.positional().empty()) {
-    std::printf(
-        "sfgossip trace-dump FILE [options] — inspect a flight-recorder "
-        "dump\n"
-        "  --message ID    only the lifecycle of one message id (0x.. ok)\n"
-        "  --node N        only events naming node N (actor or peer)\n"
-        "  --limit K       print at most K events        (default 100)\n"
-        "  --json          machine-readable output (one JSON object; the\n"
-        "                  same filters and limit apply)\n"
-        "FILE is a dump written by 'simulate --trace-out', 'chaos\n"
-        "--trace-out', or by the TheoryOracle on a drift violation\n"
-        "(bench_report --drift).\n");
-    return args.has("help") ? 0 : 2;
+  if (args.positional().empty()) {
+    std::fputs(kTraceDumpUsage, stdout);
+    return 2;
   }
   const std::string path = args.positional()[0];
   const bool json = args.has("json");
@@ -937,37 +928,39 @@ sim::RunSpec read_run_spec(const RunOptions& in, const RunDefaults& d) {
   return spec;
 }
 
+constexpr const char* kChaosUsage =
+    "sfgossip chaos --scenario FILE [options]\n"
+    "Runs the scripted fault schedule in FILE on the sharded driver and\n"
+    "reports per-window recovery times (see DESIGN.md §5d; a sample\n"
+    "scenario ships in examples/scenarios/partition_heal.txt).\n"
+    "  --scenario FILE   fault schedule + config (required)\n"
+    "  --nodes N         system size                  (default 5000)\n"
+    "  --rounds R        total rounds     (default: last heal + 200)\n"
+    "  --loss L          ambient loss rate            (default 0.01)\n"
+    "  --view-size S     view slots s                 (default 40)\n"
+    "  --min-degree D    duplication threshold dL     (default 18)\n"
+    "  --shards T        worker shards                (default 4)\n"
+    "  --seed S          RNG seed                     (default 1)\n"
+    "  --stride N        rounds between probes        (default 5)\n"
+    "  --warmup W        tracker warmup rounds        (default 100)\n"
+    "  --oracle          attach the theory oracle; scripted windows are\n"
+    "                    declared (drift accounted, not escalated)\n"
+    "  --grace G         post-heal oracle grace rounds (default 40)\n"
+    "  --snapshot-out F  stream delta-encoded registry snapshots (JSONL)\n"
+    "  --prom-out FILE   rewrite a Prometheus text exposition per\n"
+    "                    snapshot\n"
+    "  --snapshot-stride N  rounds between snapshots (default: stride)\n"
+    "  --trace-out FILE  attach the flight recorder and dump the SFFR\n"
+    "                    ring at the end (for 'sfgossip analyze')\n"
+    "  --trace-capacity N  per-shard ring capacity     (default 4096)\n"
+    "  --json FILE       write series + annotations + recovery JSON\n"
+    "Scenario config lines (nodes, rounds, loss, view-size, min-degree,\n"
+    "shards, seed, stride, warmup, grace) set defaults; flags override.\n";
+
 int cmd_chaos(const ArgParser& args) {
-  if (args.has("help") || !args.has("scenario")) {
-    std::printf(
-        "sfgossip chaos --scenario FILE [options]\n"
-        "Runs the scripted fault schedule in FILE on the sharded driver and\n"
-        "reports per-window recovery times (see DESIGN.md §5d; a sample\n"
-        "scenario ships in examples/scenarios/partition_heal.txt).\n"
-        "  --scenario FILE   fault schedule + config (required)\n"
-        "  --nodes N         system size                  (default 5000)\n"
-        "  --rounds R        total rounds     (default: last heal + 200)\n"
-        "  --loss L          ambient loss rate            (default 0.01)\n"
-        "  --view-size S     view slots s                 (default 40)\n"
-        "  --min-degree D    duplication threshold dL     (default 18)\n"
-        "  --shards T        worker shards                (default 4)\n"
-        "  --seed S          RNG seed                     (default 1)\n"
-        "  --stride N        rounds between probes        (default 5)\n"
-        "  --warmup W        tracker warmup rounds        (default 100)\n"
-        "  --oracle          attach the theory oracle; scripted windows are\n"
-        "                    declared (drift accounted, not escalated)\n"
-        "  --grace G         post-heal oracle grace rounds (default 40)\n"
-        "  --snapshot-out F  stream delta-encoded registry snapshots (JSONL)\n"
-        "  --prom-out FILE   rewrite a Prometheus text exposition per\n"
-        "                    snapshot\n"
-        "  --snapshot-stride N  rounds between snapshots (default: stride)\n"
-        "  --trace-out FILE  attach the flight recorder and dump the SFFR\n"
-        "                    ring at the end (for 'sfgossip analyze')\n"
-        "  --trace-capacity N  per-shard ring capacity     (default 4096)\n"
-        "  --json FILE       write series + annotations + recovery JSON\n"
-        "Scenario config lines (nodes, rounds, loss, view-size, min-degree,\n"
-        "shards, seed, stride, warmup, grace) set defaults; flags override.\n");
-    return args.has("help") ? 0 : 2;
+  if (!args.has("scenario")) {
+    std::fputs(kChaosUsage, stdout);
+    return 2;
   }
   const RunOptions in(args);
   const std::string scenario_path = args.get_string("scenario", "");
@@ -1119,36 +1112,34 @@ ArenaContender make_contender(const std::string& name, std::size_t view_size,
 // deterministic round clock, and compares message overhead against
 // detection quality. The committed BENCH_arena.json matrix is the gated
 // version of this command (tools/bench_report --arena).
+constexpr const char* kArenaUsage =
+    "sfgossip arena [--scenario FILE] [options]\n"
+    "Runs each protocol through the same scenario on the deterministic\n"
+    "arena round clock (one-round delivery latency) and reports message\n"
+    "overhead vs detection quality (see DESIGN.md 'Protocol arena').\n"
+    "  --scenario FILE   fault schedule + config     (default: none)\n"
+    "  --protocols LIST  comma list: sf,swim,a2a,shuffle,pushpull,\n"
+    "                    newscast                    (default sf,swim,a2a)\n"
+    "  --nodes N         system size                 (default 256)\n"
+    "  --rounds R        total rounds  (default: last heal + 200, or 400)\n"
+    "  --loss L          ambient loss rate           (default 0.02)\n"
+    "  --kill-fraction F fraction killed at --kill-round (default 0)\n"
+    "  --kill-round R    kill round                  (default 150)\n"
+    "  --view-size S     view slots s (sf + baselines, default 40)\n"
+    "  --min-degree D    duplication threshold dL    (default 18)\n"
+    "  --shards T        determinism shards          (default 4)\n"
+    "  --threads W       worker threads              (default: shards)\n"
+    "  --seed S          RNG seed                    (default 1)\n"
+    "  --stride N        rounds between observations (default 1)\n"
+    "  --json FILE       write the comparison as JSON\n"
+    "Scenario config lines (nodes, rounds, loss, kill-fraction,\n"
+    "kill-round, view-size, min-degree, shards, threads, seed, stride)\n"
+    "set defaults; flags override. Kills are reported to the detection\n"
+    "tracker; completeness counts only observers that believed the\n"
+    "victim alive, and S&F's passive washout shows up as kUnknown\n"
+    "verdicts (no false confirmations, no timetable).\n";
+
 int cmd_arena(const ArgParser& args) {
-  if (args.has("help")) {
-    std::printf(
-        "sfgossip arena [--scenario FILE] [options]\n"
-        "Runs each protocol through the same scenario on the deterministic\n"
-        "arena round clock (one-round delivery latency) and reports message\n"
-        "overhead vs detection quality (see DESIGN.md 'Protocol arena').\n"
-        "  --scenario FILE   fault schedule + config     (default: none)\n"
-        "  --protocols LIST  comma list: sf,swim,a2a,shuffle,pushpull,\n"
-        "                    newscast                    (default sf,swim,a2a)\n"
-        "  --nodes N         system size                 (default 256)\n"
-        "  --rounds R        total rounds  (default: last heal + 200, or 400)\n"
-        "  --loss L          ambient loss rate           (default 0.02)\n"
-        "  --kill-fraction F fraction killed at --kill-round (default 0)\n"
-        "  --kill-round R    kill round                  (default 150)\n"
-        "  --view-size S     view slots s (sf + baselines, default 40)\n"
-        "  --min-degree D    duplication threshold dL    (default 18)\n"
-        "  --shards T        determinism shards          (default 4)\n"
-        "  --threads W       worker threads              (default: shards)\n"
-        "  --seed S          RNG seed                    (default 1)\n"
-        "  --stride N        rounds between observations (default 1)\n"
-        "  --json FILE       write the comparison as JSON\n"
-        "Scenario config lines (nodes, rounds, loss, kill-fraction,\n"
-        "kill-round, view-size, min-degree, shards, threads, seed, stride)\n"
-        "set defaults; flags override. Kills are reported to the detection\n"
-        "tracker; completeness counts only observers that believed the\n"
-        "victim alive, and S&F's passive washout shows up as kUnknown\n"
-        "verdicts (no false confirmations, no timetable).\n");
-    return 0;
-  }
   const RunOptions in(args);
   const std::string scenario_path = args.get_string("scenario", "");
   const sim::RunSpec spec = read_run_spec(
@@ -1281,24 +1272,25 @@ int cmd_arena(const ArgParser& args) {
 // stream, chaos report), attribute every incident to a root cause, and
 // render the incident report. Exit 1 when any incident stays unknown —
 // the artifacts do not explain the run, which is itself a finding.
+constexpr const char* kAnalyzeUsage =
+    "sfgossip analyze [options] — root-cause a run from its artifacts\n"
+    "  --trace FILE       SFFR flight dump  (chaos/simulate --trace-out)\n"
+    "  --snapshots FILE   sfgossip.snapshot/v1 JSONL stream\n"
+    "  --chaos FILE       chaos --json report (episodes + oracle)\n"
+    "  --baseline-snapshots FILE  second stream to diff against\n"
+    "  --report FILE      write the markdown post-mortem\n"
+    "  --json FILE        write the deterministic JSON report\n"
+    "  --window N         lookback rounds per incident  (default 60)\n"
+    "  --diff-threshold F flag metrics moving more than F (default 0.10)\n"
+    "At least one of --trace/--snapshots/--chaos is required; --chaos\n"
+    "provides the incidents, the other two the evidence. With no\n"
+    "--report/--json the markdown report goes to stdout.\n"
+    "Exit: 0 all incidents attributed, 1 any left unknown, 2 bad args.\n";
+
 int cmd_analyze(const ArgParser& args) {
-  if (args.has("help") ||
-      (!args.has("trace") && !args.has("snapshots") && !args.has("chaos"))) {
-    std::printf(
-        "sfgossip analyze [options] — root-cause a run from its artifacts\n"
-        "  --trace FILE       SFFR flight dump  (chaos/simulate --trace-out)\n"
-        "  --snapshots FILE   sfgossip.snapshot/v1 JSONL stream\n"
-        "  --chaos FILE       chaos --json report (episodes + oracle)\n"
-        "  --baseline-snapshots FILE  second stream to diff against\n"
-        "  --report FILE      write the markdown post-mortem\n"
-        "  --json FILE        write the deterministic JSON report\n"
-        "  --window N         lookback rounds per incident  (default 60)\n"
-        "  --diff-threshold F flag metrics moving more than F (default 0.10)\n"
-        "At least one of --trace/--snapshots/--chaos is required; --chaos\n"
-        "provides the incidents, the other two the evidence. With no\n"
-        "--report/--json the markdown report goes to stdout.\n"
-        "Exit: 0 all incidents attributed, 1 any left unknown, 2 bad args.\n");
-    return args.has("help") ? 0 : 2;
+  if (!args.has("trace") && !args.has("snapshots") && !args.has("chaos")) {
+    std::fputs(kAnalyzeUsage, stdout);
+    return 2;
   }
 
   namespace fx = obs::forensics;
@@ -1377,34 +1369,32 @@ int cmd_analyze(const ArgParser& args) {
 
 // ------------------------------------------------------------------ top
 
+constexpr const char* kTopUsage =
+    "sfgossip top [options] — live dashboard over a sharded run\n"
+    "Runs the flat S&F engine on the sharded driver and repaints an\n"
+    "in-terminal dashboard from the snapshot stream: actions/sec,\n"
+    "degree quantiles vs the [dL, s] band, oracle drift scores, active\n"
+    "fault windows and recovery episodes.\n"
+    "  --nodes N         system size                  (default 2000)\n"
+    "  --rounds R        gossip rounds                (default 400)\n"
+    "  --loss L          message loss rate            (default 0.02)\n"
+    "  --view-size S     view slots s                 (default 40)\n"
+    "  --min-degree D    duplication threshold dL     (default 18)\n"
+    "  --shards T        worker shards                (default 2)\n"
+    "  --seed S          RNG seed                     (default 1)\n"
+    "  --stride N        rounds between frames        (default 5)\n"
+    "  --warmup W        recovery-tracker warmup      (default 100)\n"
+    "  --oracle-warmup W rounds before drift checks engage (default\n"
+    "                    400: a dL-seeded degree distribution takes\n"
+    "                    hundreds of rounds to reach stationarity;\n"
+    "                    'warming up' is shown until then)\n"
+    "  --scenario FILE   run a chaos fault schedule under the dashboard\n"
+    "  --snapshot-out F  also stream JSONL snapshots\n"
+    "  --prom-out FILE   also rewrite a Prometheus exposition per frame\n"
+    "  --plain           one line per frame (no ANSI repaint; forced\n"
+    "                    when stdout is not a TTY)\n";
+
 int cmd_top(const ArgParser& args) {
-  if (args.has("help")) {
-    std::printf(
-        "sfgossip top [options] — live dashboard over a sharded run\n"
-        "Runs the flat S&F engine on the sharded driver and repaints an\n"
-        "in-terminal dashboard from the snapshot stream: actions/sec,\n"
-        "degree quantiles vs the [dL, s] band, oracle drift scores, active\n"
-        "fault windows and recovery episodes.\n"
-        "  --nodes N         system size                  (default 2000)\n"
-        "  --rounds R        gossip rounds                (default 400)\n"
-        "  --loss L          message loss rate            (default 0.02)\n"
-        "  --view-size S     view slots s                 (default 40)\n"
-        "  --min-degree D    duplication threshold dL     (default 18)\n"
-        "  --shards T        worker shards                (default 2)\n"
-        "  --seed S          RNG seed                     (default 1)\n"
-        "  --stride N        rounds between frames        (default 5)\n"
-        "  --warmup W        recovery-tracker warmup      (default 100)\n"
-        "  --oracle-warmup W rounds before drift checks engage (default\n"
-        "                    400: a dL-seeded degree distribution takes\n"
-        "                    hundreds of rounds to reach stationarity;\n"
-        "                    'warming up' is shown until then)\n"
-        "  --scenario FILE   run a chaos fault schedule under the dashboard\n"
-        "  --snapshot-out F  also stream JSONL snapshots\n"
-        "  --prom-out FILE   also rewrite a Prometheus exposition per frame\n"
-        "  --plain           one line per frame (no ANSI repaint; forced\n"
-        "                    when stdout is not a TTY)\n");
-    return 0;
-  }
   const RunOptions in(args);
   const bool scripted = args.has("scenario");
   sim::RunSpec spec = read_run_spec(
@@ -1602,6 +1592,68 @@ int cmd_top(const ArgParser& args) {
   return 0;
 }
 
+// One subcommand: its entry point, the usage printed for --help and for
+// an unknown option, and every --option it reads (--help aside).
+struct Command {
+  std::string_view name;
+  int (*run)(const ArgParser&);
+  const char* usage;
+  std::vector<std::string_view> options;
+};
+
+// The options chaos, top and arena read through RunOptions, so a scenario
+// config line may set them too.
+const std::vector<std::string_view> kRunKeys = {
+    "nodes", "rounds", "loss", "view-size", "min-degree", "shards", "seed",
+    "stride"};
+
+std::vector<std::string_view> with_run_keys(
+    std::vector<std::string_view> options) {
+  options.insert(options.end(), kRunKeys.begin(), kRunKeys.end());
+  return options;
+}
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"simulate", cmd_simulate, kSimulateUsage,
+       {"nodes", "rounds", "loss", "view-size", "min-degree", "protocol",
+        "driver", "join-rate", "leave-rate", "seed", "csv", "dump",
+        "metrics-out", "metrics-stride", "trace-out", "trace-capacity",
+        "perfetto-out", "snapshot-out", "prom-out", "snapshot-stride",
+        "retune", "shards", "warmup", "spike-begin", "spike-end",
+        "spike-rate", "json"}},
+      {"degrees", cmd_degrees, kDegreesUsage,
+       {"view-size", "min-degree", "loss", "fixed-sum", "csv"}},
+      {"thresholds", cmd_thresholds, kThresholdsUsage,
+       {"target-degree", "delta"}},
+      {"decay", cmd_decay, kDecayUsage,
+       {"view-size", "min-degree", "loss", "delta", "rounds", "csv"}},
+      {"connectivity", cmd_connectivity, kConnectivityUsage,
+       {"loss", "delta", "epsilon"}},
+      {"walk", cmd_walk, kWalkUsage, {"nodes", "length", "loss", "trials"}},
+      {"globalmc", cmd_globalmc, kGlobalmcUsage,
+       {"nodes", "view-size", "min-degree", "loss", "max-states",
+        "init-degree"}},
+      {"plan", cmd_plan, kPlanUsage, {"view-size", "emit"}},
+      {"trace-dump", cmd_trace_dump, kTraceDumpUsage,
+       {"message", "node", "limit", "json"}},
+      {"chaos", cmd_chaos, kChaosUsage,
+       with_run_keys({"scenario", "warmup", "grace", "oracle", "trace-out",
+                      "trace-capacity", "snapshot-out", "prom-out",
+                      "snapshot-stride", "json"})},
+      {"analyze", cmd_analyze, kAnalyzeUsage,
+       {"trace", "snapshots", "chaos", "baseline-snapshots", "report",
+        "json", "window", "diff-threshold"}},
+      {"top", cmd_top, kTopUsage,
+       with_run_keys({"scenario", "warmup", "oracle-warmup", "snapshot-out",
+                      "prom-out", "plain"})},
+      {"arena", cmd_arena, kArenaUsage,
+       with_run_keys({"scenario", "protocols", "kill-fraction", "kill-round",
+                      "threads", "json"})},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1609,19 +1661,22 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   try {
     const ArgParser args(argc - 1, argv + 1);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "degrees") return cmd_degrees(args);
-    if (command == "thresholds") return cmd_thresholds(args);
-    if (command == "decay") return cmd_decay(args);
-    if (command == "connectivity") return cmd_connectivity(args);
-    if (command == "walk") return cmd_walk(args);
-    if (command == "globalmc") return cmd_globalmc(args);
-    if (command == "plan") return cmd_plan(args);
-    if (command == "trace-dump") return cmd_trace_dump(args);
-    if (command == "chaos") return cmd_chaos(args);
-    if (command == "analyze") return cmd_analyze(args);
-    if (command == "top") return cmd_top(args);
-    if (command == "arena") return cmd_arena(args);
+    for (const Command& c : commands()) {
+      if (c.name != command) continue;
+      if (args.has("help")) {
+        std::fputs(c.usage, stdout);
+        return 0;
+      }
+      for (const std::string& name : args.option_names()) {
+        if (std::find(c.options.begin(), c.options.end(), name) ==
+            c.options.end()) {
+          std::fprintf(stderr, "error: unknown option --%s\n%s",
+                       name.c_str(), c.usage);
+          return 2;
+        }
+      }
+      return c.run(args);
+    }
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
     return usage();
   } catch (const CliError& error) {
