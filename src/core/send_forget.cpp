@@ -116,7 +116,6 @@ void SendForget::on_message(const Message& message, Rng& rng,
     return;
   }
   FlatPush push;
-  push.to = self();
   push.count = static_cast<std::uint32_t>(payload.size());
   for (std::size_t k = 0; k < payload.size(); ++k) {
     if (!PackedViewEntry::packable(payload[k].id)) return;
