@@ -17,6 +17,7 @@
 #include "graph/connectivity.hpp"
 #include "graph/graph_gen.hpp"
 #include "markov/sparse_chain.hpp"
+#include "obs/probe.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/timeseries.hpp"
@@ -276,6 +277,36 @@ void BM_FlatShardedRoundObserved(benchmark::State& state) {
 BENCHMARK(BM_FlatShardedRoundObserved)
     ->Args({10000, 4})
     ->Args({100000, 4});
+
+// The serial probe over a warmed 50k flat cluster, whose rows are about
+// half empty at random positions: the degree census alone (range(0) = 0,
+// obs::probe_cluster) and with the component census (range(0) = 1).
+void BM_ProbeCensus(benchmark::State& state) {
+  const std::size_t n = 50'000;
+  const bool components = state.range(0) != 0;
+  const SendForgetConfig cfg = default_send_forget_config();
+  Rng rng(8);
+  FlatSendForgetCluster cluster(n, cfg);
+  cluster.install_graph(permutation_regular(n, cfg.min_degree, rng));
+  sim::ShardedDriver driver(
+      cluster, sim::ShardedDriverConfig{
+                   .shard_count = 4, .loss_rate = 0.01, .seed = 8});
+  driver.run_rounds(50);
+  obs::ProbeSlices probe;
+  std::vector<std::uint32_t> occurrences;
+  for (auto _ : state) {
+    if (components) {
+      benchmark::DoNotOptimize(
+          probe.run(obs::FlatViews(cluster), /*components=*/true,
+                    &occurrences));
+    } else {
+      benchmark::DoNotOptimize(obs::probe_cluster(cluster, &occurrences));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ProbeCensus)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_SnapshotGraph(benchmark::State& state) {
   Rng rng(5);

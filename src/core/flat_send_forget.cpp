@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 // Only Digraph's inline accessors are used, so core takes no link
 // dependency on the graph library, which itself links core.
@@ -112,14 +113,24 @@ void FlatSendForgetCluster::revive(NodeId u, Rng& rng) {
   ++live_count_;
 }
 
+void FlatSendForgetCluster::check_id(NodeId id) const {
+  if (id >= n_) {
+    throw std::invalid_argument("view id " + std::to_string(id) +
+                                " is outside the cluster of " +
+                                std::to_string(n_) + " nodes");
+  }
+}
+
 void FlatSendForgetCluster::install_view(NodeId u,
                                          const std::vector<NodeId>& ids) {
   assert(u < n_);
+  const std::size_t count = std::min(ids.size(), view_size_);
+  NodeId largest = 0;
+  for (std::size_t i = 0; i < count; ++i) largest = std::max(largest, ids[i]);
+  if (count > 0) check_id(largest);
   PackedViewEntry* v = view(u);
   for (std::size_t i = 0; i < view_size_; ++i) v[i] = PackedViewEntry{};
-  const std::size_t count = std::min(ids.size(), view_size_);
   for (std::size_t i = 0; i < count; ++i) {
-    assert(ids[i] != kNilNode);
     v[i] = PackedViewEntry::pack(ids[i], /*dependent=*/false);
   }
   degree_[u] = static_cast<std::uint16_t>(count);
@@ -134,7 +145,8 @@ void FlatSendForgetCluster::install_graph(const Digraph& graph) {
 
 void FlatSendForgetCluster::install_slot(NodeId u, std::size_t slot,
                                          NodeId id) {
-  assert(u < n_ && slot < view_size_ && id != kNilNode);
+  assert(u < n_ && slot < view_size_);
+  check_id(id);
   PackedViewEntry* v = view(u);
   assert(v[slot].empty());
   v[slot] = PackedViewEntry::pack(id, /*dependent=*/false);

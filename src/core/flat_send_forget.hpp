@@ -108,6 +108,8 @@ class FlatSendForgetCluster {
   // --- topology loading / inspection (not hot paths) ---
 
   // Installs up to s out-neighbors into u's first slots, tagged independent.
+  // Throws std::invalid_argument, leaving the row as it was, if one of
+  // them is not a node of the cluster (id >= size()).
   void install_view(NodeId u, const std::vector<NodeId>& ids);
 
   // Installs views from a membership graph: node u's view receives the
@@ -116,9 +118,10 @@ class FlatSendForgetCluster {
   void install_graph(const Digraph& graph);
 
   // Installs `id` (tagged independent) into slot `slot` of u, which must be
-  // empty. Lets callers seed huge clusters slot-by-slot — e.g. from a family
-  // of permutations — without ever materializing a Digraph whose
-  // vector-of-vectors adjacency would dwarf the packed slab at n = 10^7.
+  // empty; throws std::invalid_argument if id >= size(). Lets callers seed
+  // huge clusters slot-by-slot — e.g. from a family of permutations —
+  // without ever materializing a Digraph whose vector-of-vectors adjacency
+  // would dwarf the packed slab at n = 10^7.
   void install_slot(NodeId u, std::size_t slot, NodeId id);
 
   // Ids of u's nonempty slots, in slot order (multiset semantics).
@@ -170,6 +173,9 @@ class FlatSendForgetCluster {
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:
+  // Throws std::invalid_argument unless id names a node of the cluster.
+  void check_id(NodeId id) const;
+
   [[nodiscard]] PackedViewEntry* view(NodeId u) {
     return slots_.data() + static_cast<std::size_t>(u) * view_size_;
   }

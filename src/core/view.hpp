@@ -92,6 +92,8 @@ class LocalView {
 
   // The row itself, for the S&F rules.
   [[nodiscard]] ViewRow row() { return {row_.data(), row_.size(), degree_}; }
+  // The packed slots, capacity() of them, empty ones included.
+  [[nodiscard]] const PackedViewEntry* slots() const { return row_.data(); }
 
  private:
   std::vector<PackedViewEntry> row_;

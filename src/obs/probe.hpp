@@ -5,13 +5,23 @@
 //
 // A probe is cut into *slices* over contiguous node ranges. A slice walks
 // the rows of its own range into private partials: the outdegree histogram,
-// occupied / capacity / dependent / live counts, a per-id in-degree array,
-// and a union-find forest over the edges of its rows. One *merge* then
-// folds the partials in slice order: integer sums, the forests linked into
-// slice 0's, and the two degree summaries computed in node order. Neither
-// an integer sum nor a component partition depends on where the ranges are
-// cut, so the merged probe is bit-identical for any slicing. The serial
-// entry points are one slice over [0, n) followed by the same merge.
+// occupied / capacity / dependent / live counts and a per-id in-degree
+// array. With the component census on, it also writes each live row's first
+// two edges into its range of one shared edge list. One *merge* then folds
+// the partials in slice order: integer sums, the two degree summaries
+// computed in node order, and the component census over the edge list (see
+// largest_component). Neither an integer sum nor a component partition
+// depends on where the ranges are cut, so the merged probe is bit-identical
+// for any slicing. The serial entry points are one slice over [0, n)
+// followed by the same merge.
+//
+// The row walk has no per-slot branch. S&F rows are about half empty at
+// random positions, so a test per slot mispredicts about every other slot.
+// A slice instead compacts each row's in-cluster ids with
+//   ids[k] = bits & kIdMask;  k += ids[k] < n;
+// An empty slot masks to 0x7FFFFFFF >= n, so the one compare drops both
+// empty slots and ids outside the cluster. The in-degree increments then
+// run over ids[0, k), and the dependence tags are a masked sum.
 #pragma once
 
 #include <algorithm>
@@ -19,10 +29,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/node_id.hpp"
 #include "core/flat_send_forget.hpp"
+#include "core/packed_view.hpp"
 #include "obs/timeseries.hpp"
 
 namespace gossip::obs {
@@ -30,10 +42,9 @@ namespace gossip::obs {
 // The flat engine as a probe sees it: every live row holds `s` slots.
 //
 // A `Views` adapter exposes size(), live(u), degree(u), capacity(u),
-// for_each_entry(u, f) calling f(id, dependent) per occupied slot, and
-// min_capacity(): the flat engine's fixed view size, which sizes the
-// histograms up front, or 0 for the object engine, whose histograms grow to
-// its largest live view.
+// row(u): the packed row of capacity(u) slots, and min_capacity(): the flat
+// engine's fixed view size, which sizes the histograms up front, or 0 for
+// the object engine, whose histograms grow to its largest live view.
 struct FlatViews {
   explicit FlatViews(const FlatSendForgetCluster& flat)
       : cluster(flat), s(flat.view_size()) {}
@@ -46,12 +57,8 @@ struct FlatViews {
   [[nodiscard]] std::size_t degree(NodeId u) const { return cluster.degree(u); }
   [[nodiscard]] std::size_t capacity(NodeId) const { return s; }
   [[nodiscard]] std::size_t min_capacity() const { return s; }
-  template <class F>
-  void for_each_entry(NodeId u, F&& f) const {
-    const PackedViewEntry* row = cluster.slots(u);
-    for (std::size_t i = 0; i < s; ++i) {
-      if (!row[i].empty()) f(row[i].id_unchecked(), row[i].dependent());
-    }
+  [[nodiscard]] const PackedViewEntry* row(NodeId u) const {
+    return cluster.slots(u);
   }
 };
 
@@ -61,47 +68,43 @@ struct FlatViews {
 class ProbeSlices {
  public:
   // Sizes the scratch for `slices` node ranges over `n` nodes, keeping
-  // allocations across calls of the same shape. `degrees` takes the degree
-  // census (every FlatClusterProbe field but largest_component); its
+  // allocations across calls of the same shape. Every probe takes the
+  // degree census (every FlatClusterProbe field but largest_component); its
   // merged per-id in-degree array is `*occurrences` when that is non-null
   // (the oracle's occurrence census) and internal scratch otherwise.
-  // `components` takes the weak-component census (largest_component).
-  void prepare(std::size_t n, std::size_t slices, bool degrees,
-               bool components,
+  // `components` adds the weak-component census (largest_component).
+  void prepare(std::size_t n, std::size_t slices, bool components,
                std::vector<std::uint32_t>* occurrences = nullptr) {
     n_ = n;
-    degrees_ = degrees;
     components_ = components;
     partials_.resize(slices);
-    const auto keep = [n](std::vector<std::uint32_t>& v, bool needed) {
-      if (needed) {
-        v.resize(n);
+    const auto keep = [](std::vector<std::uint32_t>& v, std::size_t size) {
+      if (size > 0) {
+        v.resize(size);
       } else {
         std::vector<std::uint32_t>().swap(v);
       }
     };
     occurrences_ = occurrences;
-    keep(own_indegree_, degrees && occurrences == nullptr);
-    if (degrees) merged_indegree().resize(n);
+    keep(own_indegree_, occurrences == nullptr ? n : 0);
+    merged_indegree().resize(n);
     for (std::size_t k = 0; k < slices; ++k) {
-      keep(partials_[k].indegree, degrees && k != 0);
-      keep(partials_[k].forest, components);
+      keep(partials_[k].indegree, k != 0 ? n : 0);
     }
-    // Component sizes are counted into slice 1's in-degree partial once the
-    // merge has consumed it; only a probe without one needs its own array.
-    counts_in_partial_ = degrees && slices > 1;
-    keep(counts_, components && !counts_in_partial_);
+    keep(edges_, components ? 2 * n : 0);
+    keep(forest_, components ? n : 0);
+    // The component census counts into slice 1's in-degree partial once
+    // the merge has consumed it; only a one-slice probe needs its own array.
+    keep(counts_, components && slices == 1 ? n : 0);
   }
 
   // Walks the rows of [lo, hi) into slice k's partials.
   template <class Views>
   void slice(const Views& views, std::size_t k, NodeId lo, NodeId hi) {
-    if (degrees_ && components_) {
-      slice_impl<true, true>(views, k, lo, hi);
-    } else if (degrees_) {
-      slice_impl<true, false>(views, k, lo, hi);
-    } else if (components_) {
-      slice_impl<false, true>(views, k, lo, hi);
+    if (components_) {
+      slice_impl<true>(views, k, lo, hi);
+    } else {
+      slice_impl<false>(views, k, lo, hi);
     }
   }
 
@@ -112,16 +115,16 @@ class ProbeSlices {
   // The serial probe: prepare for one slice, walk [0, n), merge.
   template <class Views>
   [[nodiscard]] FlatClusterProbe run(
-      const Views& views, bool degrees, bool components,
+      const Views& views, bool components,
       std::vector<std::uint32_t>* occurrences = nullptr) {
-    prepare(views.size(), 1, degrees, components, occurrences);
+    prepare(views.size(), 1, components, occurrences);
     slice(views, 0, 0, static_cast<NodeId>(views.size()));
     return merge(views);
   }
 
   // The last merge's per-id in-degree census: occurrence counts across
   // live views for live ids, UINT32_MAX (kDeadNodeOccurrence) for dead
-  // ones. Empty unless the degree census ran.
+  // ones.
   [[nodiscard]] const std::vector<std::uint32_t>& indegree() const {
     return occurrences_ != nullptr ? *occurrences_ : own_indegree_;
   }
@@ -137,9 +140,8 @@ class ProbeSlices {
     // Per-id in-degree from this slice's rows; slice 0 counts straight
     // into the merged array instead.
     std::vector<std::uint32_t> indegree;
-    // Union-find parents over every id, linked by index (the smaller root
-    // wins), so no size array is needed.
-    std::vector<std::uint32_t> forest;
+    // One row's compacted in-cluster ids.
+    std::vector<std::uint32_t> ids;
   };
 
   // Mean / sample sd / min / max over values fed twice in the same order:
@@ -174,170 +176,242 @@ class ProbeSlices {
     }
   };
 
-  static std::uint32_t find(std::uint32_t* parent, std::uint32_t x) {
+  // Ids at or above this bound are not in the cluster. It never exceeds
+  // kIdMask, so an empty slot (masked to kIdMask) is out of range too.
+  [[nodiscard]] std::uint32_t id_limit() const {
+    return static_cast<std::uint32_t>(
+        std::min<std::size_t>(n_, PackedViewEntry::kIdMask));
+  }
+
+  std::uint32_t find(std::uint32_t x) {
+    std::uint32_t* const parent = forest_.data();
     while (parent[x] != x) {
       parent[x] = parent[parent[x]];  // path halving
       x = parent[x];
     }
     return x;
   }
-  static void link(std::uint32_t* parent, std::uint32_t a, std::uint32_t b) {
-    a = find(parent, a);
-    b = find(parent, b);
-    if (a == b) return;
+  // Links by index (the smaller root wins), so no size array is needed.
+  // Returns whether the two ids were in different trees.
+  bool link(std::uint32_t a, std::uint32_t b) {
+    a = find(a);
+    b = find(b);
+    if (a == b) return false;
     if (a < b) {
-      parent[b] = a;
+      forest_[b] = a;
     } else {
-      parent[a] = b;
+      forest_[a] = b;
     }
+    return true;
   }
 
   [[nodiscard]] std::vector<std::uint32_t>& merged_indegree() {
     return occurrences_ != nullptr ? *occurrences_ : own_indegree_;
   }
-  template <bool kDegrees, bool kComponents, class Views>
+  template <bool kComponents, class Views>
   void slice_impl(const Views& views, std::size_t k, NodeId lo, NodeId hi);
   template <class Views>
-  [[nodiscard]] std::uint64_t largest_component(const Views& views);
+  [[nodiscard]] std::uint64_t largest_component(const Views& views,
+                                                std::uint64_t live);
 
   std::size_t n_ = 0;
-  bool degrees_ = false;
   bool components_ = false;
-  bool counts_in_partial_ = false;
   std::vector<Partial> partials_;
   std::vector<std::uint32_t>* occurrences_ = nullptr;  // borrowed
   std::vector<std::uint32_t> own_indegree_;
+  // Pass 1 of the component census: row u's first two edges to live ids
+  // at [2u, 2u + 2), u itself standing in for a missing one.
+  std::vector<std::uint32_t> edges_;
+  // Union-find parents over every id.
+  std::vector<std::uint32_t> forest_;
   std::vector<std::uint32_t> counts_;
 };
 
-template <bool kDegrees, bool kComponents, class Views>
+template <bool kComponents, class Views>
 void ProbeSlices::slice_impl(const Views& views, std::size_t k, NodeId lo,
                              NodeId hi) {
-  const std::size_t n = n_;
+  const std::uint32_t limit = id_limit();
   Partial& p = partials_[k];
   std::size_t max_capacity = views.min_capacity();
   p.outdegree_hist.assign(max_capacity == 0 ? 0 : max_capacity + 1, 0);
+  if (p.ids.size() < max_capacity) p.ids.resize(max_capacity);
   std::uint64_t live = 0;
   std::uint64_t occupied = 0;
   std::uint64_t capacity = 0;
-  std::uint64_t dependent = 0;
+  std::uint64_t tagged = 0;
   std::uint32_t* const indegree =
       k == 0 ? merged_indegree().data() : p.indegree.data();
-  std::uint32_t* const parent = p.forest.data();
-  if constexpr (kDegrees) std::fill(indegree, indegree + n, 0u);
-  if constexpr (kComponents) std::iota(parent, parent + n, 0u);
+  std::fill(indegree, indegree + n_, 0u);
+  std::uint32_t* const edges = edges_.data();
   for (NodeId u = lo; u < hi; ++u) {
-    if (!views.live(u)) continue;
-    ++live;
-    if constexpr (kDegrees) {
-      const std::size_t d = views.degree(u);
-      const std::size_t cap = views.capacity(u);
-      occupied += d;
-      capacity += cap;
-      max_capacity = std::max(max_capacity, cap);
-      if (p.outdegree_hist.size() < max_capacity + 1) {
-        p.outdegree_hist.resize(max_capacity + 1, 0);
-      }
-      ++p.outdegree_hist[std::min(d, max_capacity)];
+    const std::size_t e = 2 * static_cast<std::size_t>(u);
+    if (!views.live(u)) {
+      if constexpr (kComponents) edges[e] = edges[e + 1] = u;
+      continue;
     }
-    views.for_each_entry(u, [&](NodeId id, [[maybe_unused]] bool dep) {
-      if constexpr (kDegrees) {
-        ++indegree[id];
-        if (dep) ++dependent;
-      }
-      if constexpr (kComponents) {
-        if (id < n && views.live(id)) {
-          link(parent, static_cast<std::uint32_t>(u),
-               static_cast<std::uint32_t>(id));
-        }
-      }
-    });
+    ++live;
+    const std::size_t d = views.degree(u);
+    const std::size_t cap = views.capacity(u);
+    occupied += d;
+    capacity += cap;
+    if (cap > max_capacity) {
+      max_capacity = cap;
+      p.outdegree_hist.resize(max_capacity + 1, 0);
+      p.ids.resize(max_capacity);
+    }
+    ++p.outdegree_hist[std::min(d, max_capacity)];
+    const PackedViewEntry* const row = views.row(u);
+    std::uint32_t* const ids = p.ids.data();
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < cap; ++i) {
+      const std::uint32_t bits = row[i].bits();
+      const std::uint32_t id = bits & PackedViewEntry::kIdMask;
+      ids[m] = id;
+      m += id < limit ? 1 : 0;
+      tagged += bits >> 31;
+    }
+    // Every empty slot carries the tag bit; the rest are dependent entries.
+    tagged -= cap - d;
+    for (std::size_t j = 0; j < m; ++j) ++indegree[ids[j]];
+    if constexpr (kComponents) {
+      const auto edge = [&](std::size_t j) {
+        return j < m && views.live(ids[j]) ? ids[j] : u;
+      };
+      edges[e] = edge(0);
+      edges[e + 1] = edge(1);
+    }
   }
   p.max_capacity = max_capacity;
   p.live = live;
   p.occupied = occupied;
   p.capacity = capacity;
-  p.dependent = dependent;
+  p.dependent = tagged;
 }
 
 template <class Views>
 FlatClusterProbe ProbeSlices::merge(const Views& views) {
   FlatClusterProbe probe;
   for (const Partial& p : partials_) probe.live_nodes += p.live;
-  if (degrees_) {
-    std::size_t max_capacity = 0;
-    std::size_t hist_size = 0;
-    std::uint64_t capacity = 0;
-    for (const Partial& p : partials_) {
-      max_capacity = std::max(max_capacity, p.max_capacity);
-      hist_size = std::max(hist_size, p.outdegree_hist.size());
-      probe.occupied_slots += p.occupied;
-      probe.dependent_entries += p.dependent;
-      capacity += p.capacity;
-    }
-    probe.outdegree_hist.assign(hist_size, 0);
-    for (const Partial& p : partials_) {
-      for (std::size_t d = 0; d < p.outdegree_hist.size(); ++d) {
-        probe.outdegree_hist[d] += p.outdegree_hist[d];
-      }
-    }
-    probe.indegree_hist.assign(2 * max_capacity + 1, 0);
-    std::uint32_t* const indegree = merged_indegree().data();
-    Summary out;
-    Summary in;
-    for (NodeId u = 0; u < n_; ++u) {
-      if (!views.live(u)) {
-        indegree[u] = UINT32_MAX;
-        continue;
-      }
-      std::uint32_t total = indegree[u];
-      for (std::size_t k = 1; k < partials_.size(); ++k) {
-        total += partials_[k].indegree[u];
-      }
-      indegree[u] = total;
-      ++probe.indegree_hist[std::min<std::size_t>(total, 2 * max_capacity)];
-      out.add(static_cast<std::uint32_t>(views.degree(u)));
-      in.add(total);
-    }
-    const double out_mean = out.mean();
-    const double in_mean = in.mean();
-    for (NodeId u = 0; u < n_; ++u) {
-      if (!views.live(u)) continue;
-      out.add_square(static_cast<std::uint32_t>(views.degree(u)), out_mean);
-      in.add_square(indegree[u], in_mean);
-    }
-    probe.outdegree = out.finish();
-    probe.indegree = in.finish();
-    probe.empty_slot_fraction =
-        capacity == 0 ? 0.0
-                      : 1.0 - static_cast<double>(probe.occupied_slots) /
-                                  static_cast<double>(capacity);
+  std::size_t max_capacity = 0;
+  std::size_t hist_size = 0;
+  std::uint64_t capacity = 0;
+  for (const Partial& p : partials_) {
+    max_capacity = std::max(max_capacity, p.max_capacity);
+    hist_size = std::max(hist_size, p.outdegree_hist.size());
+    probe.occupied_slots += p.occupied;
+    probe.dependent_entries += p.dependent;
+    capacity += p.capacity;
   }
-  if (components_) probe.largest_component = largest_component(views);
+  probe.outdegree_hist.assign(hist_size, 0);
+  for (const Partial& p : partials_) {
+    for (std::size_t d = 0; d < p.outdegree_hist.size(); ++d) {
+      probe.outdegree_hist[d] += p.outdegree_hist[d];
+    }
+  }
+  probe.indegree_hist.assign(2 * max_capacity + 1, 0);
+  std::uint32_t* const indegree = merged_indegree().data();
+  Summary out;
+  Summary in;
+  for (NodeId u = 0; u < n_; ++u) {
+    if (!views.live(u)) {
+      indegree[u] = UINT32_MAX;
+      continue;
+    }
+    std::uint32_t total = indegree[u];
+    for (std::size_t k = 1; k < partials_.size(); ++k) {
+      total += partials_[k].indegree[u];
+    }
+    indegree[u] = total;
+    ++probe.indegree_hist[std::min<std::size_t>(total, 2 * max_capacity)];
+    out.add(static_cast<std::uint32_t>(views.degree(u)));
+    in.add(total);
+  }
+  const double out_mean = out.mean();
+  const double in_mean = in.mean();
+  for (NodeId u = 0; u < n_; ++u) {
+    if (!views.live(u)) continue;
+    out.add_square(static_cast<std::uint32_t>(views.degree(u)), out_mean);
+    in.add_square(indegree[u], in_mean);
+  }
+  probe.outdegree = out.finish();
+  probe.indegree = in.finish();
+  probe.empty_slot_fraction =
+      capacity == 0 ? 0.0
+                    : 1.0 - static_cast<double>(probe.occupied_slots) /
+                                static_cast<double>(capacity);
+  if (components_) {
+    probe.largest_component = largest_component(views, probe.live_nodes);
+  }
   return probe;
 }
 
+// Exact weak-component census of the live overlay in two passes.
+//
+// Pass 1 unions the edge list (at most two edges per live row). If that
+// forest spans every live node, so does the overlay. Otherwise let C be the
+// largest pass-1 component and O the live nodes outside it. Pass 2 unions
+// every edge out of O, and joins each v in O to C when in-degree(v) exceeds
+// the occurrences of v in O's rows: then some row in C holds v. Every edge
+// that can join two pass-1 components leaves O or enters it from C, so the
+// partition is the one the union of every edge gives.
 template <class Views>
-std::uint64_t ProbeSlices::largest_component(const Views& views) {
-  std::uint32_t* const root = partials_[0].forest.data();
-  for (std::size_t k = 1; k < partials_.size(); ++k) {
-    // Slice k's forest partitions the ids exactly as its edges (x,
-    // parent[x]) do, so linking those edges joins the two partitions.
-    const std::uint32_t* const forest = partials_[k].forest.data();
-    for (std::uint32_t x = 0; x < n_; ++x) {
-      if (forest[x] != x) link(root, x, forest[x]);
+std::uint64_t ProbeSlices::largest_component(const Views& views,
+                                             std::uint64_t live) {
+  const auto n = static_cast<std::uint32_t>(n_);
+  std::iota(forest_.begin(), forest_.end(), 0u);
+  std::uint64_t joined = 0;
+  for (std::uint32_t u = 0; u < n; ++u) {
+    const std::size_t e = 2 * static_cast<std::size_t>(u);
+    joined += link(u, edges_[e]) ? 1 : 0;
+    joined += link(u, edges_[e + 1]) ? 1 : 0;
+  }
+  // Only live nodes are ever linked, so live - joined is the number of
+  // live components.
+  if (live - joined <= 1) return live;
+
+  std::vector<std::uint32_t>& counts =
+      partials_.size() > 1 ? partials_[1].indegree : counts_;
+  const auto largest_tree = [&] {
+    std::fill(counts.begin(), counts.end(), 0u);
+    std::uint32_t size = 0;
+    std::uint32_t root = 0;
+    for (std::uint32_t u = 0; u < n; ++u) {
+      if (!views.live(u)) continue;
+      const std::uint32_t r = find(u);
+      if (++counts[r] > size) {
+        size = counts[r];
+        root = r;
+      }
+    }
+    return std::pair{size, root};
+  };
+  const std::uint32_t giant = largest_tree().second;
+
+  // O in the edge list, which pass 1 has consumed: at most n - 1 entries.
+  std::uint32_t* const outside = edges_.data();
+  std::size_t outside_count = 0;
+  for (std::uint32_t u = 0; u < n; ++u) {
+    if (views.live(u) && find(u) != giant) outside[outside_count++] = u;
+  }
+  const std::uint32_t limit = id_limit();
+  std::fill(counts.begin(), counts.end(), 0u);
+  for (std::size_t i = 0; i < outside_count; ++i) {
+    const std::uint32_t u = outside[i];
+    const PackedViewEntry* const row = views.row(u);
+    const std::size_t cap = views.capacity(u);
+    for (std::size_t j = 0; j < cap; ++j) {
+      const std::uint32_t id = row[j].bits() & PackedViewEntry::kIdMask;
+      if (id >= limit) continue;
+      ++counts[id];
+      if (views.live(id)) link(u, id);
     }
   }
-  std::vector<std::uint32_t>& counts =
-      counts_in_partial_ ? partials_[1].indegree : counts_;
-  std::fill(counts.begin(), counts.end(), 0u);
-  std::uint32_t largest = 0;
-  for (NodeId u = 0; u < n_; ++u) {
-    if (!views.live(u)) continue;
-    const std::uint32_t r = find(root, static_cast<std::uint32_t>(u));
-    largest = std::max(largest, ++counts[r]);
+  const std::uint32_t* const indegree = merged_indegree().data();
+  for (std::size_t i = 0; i < outside_count; ++i) {
+    const std::uint32_t v = outside[i];
+    if (indegree[v] > counts[v]) link(v, giant);
   }
-  return largest;
+  return largest_tree().first;
 }
 
 }  // namespace gossip::obs

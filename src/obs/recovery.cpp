@@ -150,8 +150,8 @@ std::uint32_t RecoveryTracker::evaluate_lanes(
     std::optional<std::uint64_t> largest = probe.largest_component;
     std::uint64_t live = probe.live_nodes;
     if (!largest.has_value() && cluster != nullptr) {
-      const FlatClusterProbe census = census_.run(
-          FlatViews(*cluster), /*degrees=*/false, /*components=*/true);
+      const FlatClusterProbe census =
+          census_.run(FlatViews(*cluster), /*components=*/true);
       largest = census.largest_component;
       live = census.live_nodes;
     }

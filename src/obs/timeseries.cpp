@@ -57,8 +57,8 @@ std::string csv_escape(const std::string& in) {
 
 FlatClusterProbe probe_cluster(const FlatSendForgetCluster& cluster,
                                std::vector<std::uint32_t>* occurrences) {
-  return ProbeSlices().run(FlatViews(cluster), /*degrees=*/true,
-                           /*components=*/false, occurrences);
+  return ProbeSlices().run(FlatViews(cluster), /*components=*/false,
+                           occurrences);
 }
 
 RoundTimeSeries::RoundTimeSeries(std::uint64_t stride)

@@ -4,16 +4,37 @@
 #pragma once
 
 #include "core/metrics.hpp"
+#include "core/packed_view.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/cluster.hpp"
 #include "sim/network.hpp"
 
 namespace gossip::sim {
 
+// The object engine as obs::ProbeSlices sees it (the Views adapter of
+// obs/probe.hpp): per-node view capacities, each view's packed row.
+struct ObjectViews {
+  const Cluster& cluster;
+
+  [[nodiscard]] std::size_t size() const { return cluster.size(); }
+  [[nodiscard]] bool live(NodeId u) const { return cluster.live(u); }
+  [[nodiscard]] std::size_t degree(NodeId u) const {
+    return cluster.node(u).view().degree();
+  }
+  [[nodiscard]] std::size_t capacity(NodeId u) const {
+    return cluster.node(u).view().capacity();
+  }
+  [[nodiscard]] std::size_t min_capacity() const { return 0; }
+  [[nodiscard]] const PackedViewEntry* row(NodeId u) const {
+    return cluster.node(u).view().slots();
+  }
+};
+
 // O(n * s) over live nodes; indegree counts id instances held in live
-// views. Fills the same histogram / dependence-census / occurrence outputs
-// as the flat probe (see obs/timeseries.hpp) so the TheoryOracle is
-// cluster-representation agnostic.
+// views, and ids outside the cluster (a LocalView may hold any packable
+// id) count toward no node's. Fills the same histogram / dependence-census
+// / occurrence outputs as the flat probe (see obs/timeseries.hpp) so the
+// TheoryOracle is cluster-representation agnostic.
 [[nodiscard]] obs::FlatClusterProbe probe_cluster(
     const Cluster& cluster, std::vector<std::uint32_t>* occurrences = nullptr);
 

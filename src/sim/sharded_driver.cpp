@@ -416,8 +416,8 @@ std::uint64_t ShardedDriver::run_rounds_impl(std::uint64_t rounds,
                                              bool quiesce) {
   const std::uint64_t base = rounds_completed_;
   if (needs_probe()) {
-    probe_.prepare(cluster_.size(), threads_, /*degrees=*/true,
-                   needs_components(), occurrences());
+    probe_.prepare(cluster_.size(), threads_, needs_components(),
+                   occurrences());
   }
   if (threads_ == 1) {
     // One worker owns every shard; phases still run shard-blocked in

@@ -5,7 +5,11 @@
 // fingerprint contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -13,6 +17,7 @@
 #include <vector>
 
 #include "core/flat_send_forget.hpp"
+#include "core/send_forget.hpp"
 #include "graph/graph_gen.hpp"
 #include "obs/export/snapshot.hpp"
 #include "obs/oracle/flight_recorder.hpp"
@@ -23,6 +28,8 @@
 #include "obs/registry.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/watchdog.hpp"
+#include "sim/cluster.hpp"
+#include "sim/cluster_probe.hpp"
 #include "sim/fault_plane.hpp"
 #include "sim/run.hpp"
 #include "sim/sharded_driver.hpp"
@@ -192,8 +199,8 @@ TEST(ObsParallel, ProbeSlicesMergeToTheOneSliceProbe) {
   cluster.kill(41);
   std::vector<std::uint32_t> serial_occurrences;
   const obs::FlatClusterProbe serial =
-      obs::ProbeSlices().run(obs::FlatViews(cluster), /*degrees=*/true,
-                             /*components=*/true, &serial_occurrences);
+      obs::ProbeSlices().run(obs::FlatViews(cluster), /*components=*/true,
+                             &serial_occurrences);
   // The chain pieces: evens 0..38 and 42..96, odds 1..39 and 43..95.
   ASSERT_TRUE(serial.largest_component.has_value());
   EXPECT_EQ(*serial.largest_component, 28u);
@@ -203,8 +210,7 @@ TEST(ObsParallel, ProbeSlicesMergeToTheOneSliceProbe) {
     SCOPED_TRACE(testing::Message() << slices << " slices");
     obs::ProbeSlices probe;
     std::vector<std::uint32_t> occurrences;
-    probe.prepare(n, slices, /*degrees=*/true, /*components=*/true,
-                  &occurrences);
+    probe.prepare(n, slices, /*components=*/true, &occurrences);
     for (std::size_t k = slices; k-- > 0;) {
       probe.slice(obs::FlatViews(cluster), k,
                   static_cast<NodeId>(k * n / slices),
@@ -215,12 +221,190 @@ TEST(ObsParallel, ProbeSlicesMergeToTheOneSliceProbe) {
   }
 }
 
+// The census rows: empty, full, all-dependent, self ids, dead targets and a
+// dead row that holds ids. Every row has an even length, so both engines
+// take it as pushes of two.
+using Rows = std::vector<std::vector<ViewEntry>>;
+constexpr std::size_t kCensusNodes = 11;
+constexpr NodeId kCensusDead[] = {9, 10};
+
+Rows census_rows() {
+  const auto in = [](NodeId id) { return ViewEntry{id, false}; };
+  const auto dep = [](NodeId id) { return ViewEntry{id, true}; };
+  return {
+      {},                                                   // 0: empty
+      {in(2), in(3), in(4), in(5), in(6), in(7)},           // 1: full
+      {dep(3), dep(4), dep(5), dep(6)},                     // 2: dependent
+      {in(3), in(3), in(1), in(0)},                         // 3: self ids
+      {in(9), in(10), in(1), dep(9)},                       // 4: dead targets
+      {dep(0), dep(0), dep(1), dep(1), dep(2), dep(2)},     // 5: full, dep
+      {in(7), in(8)},
+      {},
+      {in(1), in(4)},
+      {in(1), in(2), in(3), in(4)},                         // 9: dead row
+      {},                                                   // 10: dead
+  };
+}
+
+// The probe computed line by line from each live node's entries: counts,
+// histograms and summaries in node order, in-degree over ids of the
+// cluster only.
+template <class Live, class Entries>
+obs::FlatClusterProbe reference_census(std::size_t n, std::size_t s,
+                                       std::vector<std::uint32_t>& indegree,
+                                       Live live, Entries entries) {
+  obs::FlatClusterProbe probe;
+  probe.outdegree_hist.assign(s + 1, 0);
+  probe.indegree_hist.assign(2 * s + 1, 0);
+  indegree.assign(n, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    if (!live(u)) continue;
+    ++probe.live_nodes;
+    const std::vector<ViewEntry> row = entries(u);
+    ++probe.outdegree_hist[row.size()];
+    probe.occupied_slots += row.size();
+    for (const ViewEntry& e : row) {
+      if (e.dependent) ++probe.dependent_entries;
+      if (e.id < n) ++indegree[e.id];
+    }
+  }
+  const auto summarize = [&](auto value) {
+    obs::DegreeSummary summary{.min = UINT32_MAX};
+    double sum = 0.0;
+    for (NodeId u = 0; u < n; ++u) {
+      if (!live(u)) continue;
+      const std::uint32_t d = value(u);
+      sum += d;
+      summary.min = std::min(summary.min, d);
+      summary.max = std::max(summary.max, d);
+    }
+    const auto count = static_cast<double>(probe.live_nodes);
+    summary.mean = sum / count;
+    double sq = 0.0;
+    for (NodeId u = 0; u < n; ++u) {
+      if (!live(u)) continue;
+      const double c = static_cast<double>(value(u)) - summary.mean;
+      sq += c * c;
+    }
+    summary.sd = std::sqrt(sq / (count - 1));
+    return summary;
+  };
+  probe.outdegree = summarize(
+      [&](NodeId u) { return static_cast<std::uint32_t>(entries(u).size()); });
+  probe.indegree = summarize([&](NodeId u) { return indegree[u]; });
+  for (NodeId u = 0; u < n; ++u) {
+    if (live(u)) {
+      ++probe.indegree_hist[std::min<std::size_t>(indegree[u], 2 * s)];
+    } else {
+      indegree[u] = obs::kDeadNodeOccurrence;
+    }
+  }
+  probe.empty_slot_fraction =
+      1.0 - static_cast<double>(probe.occupied_slots) /
+                static_cast<double>(probe.live_nodes * s);
+  return probe;
+}
+
+// Slices [0, n) into `slices` ranges, walked last to first, and merges.
+template <class Views>
+obs::FlatClusterProbe sliced_probe(const Views& views, std::size_t slices,
+                                   bool components,
+                                   std::vector<std::uint32_t>& occurrences) {
+  const std::size_t n = views.size();
+  obs::ProbeSlices probe;
+  probe.prepare(n, slices, components, &occurrences);
+  for (std::size_t k = slices; k-- > 0;) {
+    probe.slice(views, k, static_cast<NodeId>(k * n / slices),
+                static_cast<NodeId>((k + 1) * n / slices));
+  }
+  return probe.merge(views);
+}
+
+// The branch-free census against the line-by-line reference, flat engine.
+TEST(ObsParallel, FlatCensusMatchesTheLineByLineReference) {
+  const std::size_t s = 6;
+  FlatSendForgetCluster cluster(kCensusNodes,
+                                SendForgetConfig{.view_size = s,
+                                                 .min_degree = 0});
+  Rng rng(31);
+  const Rows rows = census_rows();
+  for (NodeId u = 0; u < kCensusNodes; ++u) {
+    for (std::size_t i = 0; i < rows[u].size(); i += 2) {
+      FlatPush push;
+      push.count = 2;
+      push.ids[0] = PackedViewEntry::pack(rows[u][i].id, rows[u][i].dependent);
+      push.ids[1] =
+          PackedViewEntry::pack(rows[u][i + 1].id, rows[u][i + 1].dependent);
+      ASSERT_EQ(cluster.receive(u, push, rng), 2u);
+    }
+  }
+  for (const NodeId u : kCensusDead) cluster.kill(u);
+  std::vector<std::uint32_t> expected_indegree;
+  const obs::FlatClusterProbe expected = reference_census(
+      kCensusNodes, s, expected_indegree,
+      [&](NodeId u) { return cluster.live(u); },
+      [&](NodeId u) { return cluster.view_entries(u); });
+  EXPECT_EQ(expected.dependent_entries, 13u);
+  for (std::size_t slices = 1; slices <= 4; ++slices) {
+    SCOPED_TRACE(testing::Message() << slices << " slices");
+    std::vector<std::uint32_t> occurrences;
+    EXPECT_TRUE(sliced_probe(obs::FlatViews(cluster), slices,
+                             /*components=*/false, occurrences) == expected);
+    EXPECT_EQ(occurrences, expected_indegree);
+  }
+}
+
+// The same census over the object engine, whose views may also hold ids
+// of nodes the cluster does not have.
+TEST(ObsParallel, ObjectCensusMatchesTheLineByLineReference) {
+  const SendForgetConfig cfg{.view_size = 6, .min_degree = 0};
+  sim::Cluster cluster(kCensusNodes, [&](NodeId id) {
+    return std::make_unique<SendForget>(id, cfg);
+  });
+  Rng rng(37);
+  struct : Transport {
+    void send(Message) override {}
+  } transport;
+  Rows rows = census_rows();
+  rows[6].push_back(ViewEntry{1'000'000, true});
+  rows[6].push_back(ViewEntry{PackedViewEntry::kMaxId, false});
+  rows[7] = {ViewEntry{kCensusNodes, false}, ViewEntry{2, false}};
+  for (NodeId u = 0; u < kCensusNodes; ++u) {
+    for (std::size_t i = 0; i < rows[u].size(); i += 2) {
+      Message m;
+      m.from = 1;
+      m.to = u;
+      m.kind = MessageKind::kPush;
+      m.payload = {rows[u][i], rows[u][i + 1]};
+      cluster.node(u).on_message(m, rng, transport);
+    }
+    ASSERT_EQ(cluster.node(u).view().degree(), rows[u].size());
+  }
+  for (const NodeId u : kCensusDead) cluster.kill(u);
+  std::vector<std::uint32_t> expected_indegree;
+  const obs::FlatClusterProbe expected = reference_census(
+      kCensusNodes, cfg.view_size, expected_indegree,
+      [&](NodeId u) { return cluster.live(u); },
+      [&](NodeId u) { return cluster.node(u).view().entries(); });
+  EXPECT_EQ(expected.dependent_entries, 14u);
+  for (std::size_t slices = 1; slices <= 4; ++slices) {
+    SCOPED_TRACE(testing::Message() << slices << " slices");
+    std::vector<std::uint32_t> occurrences;
+    EXPECT_TRUE(sliced_probe(sim::ObjectViews{cluster}, slices,
+                             /*components=*/false, occurrences) == expected);
+    EXPECT_EQ(occurrences, expected_indegree);
+  }
+  std::vector<std::uint32_t> serial_occurrences;
+  EXPECT_TRUE(sim::probe_cluster(cluster, &serial_occurrences) == expected);
+  EXPECT_EQ(serial_occurrences, expected_indegree);
+}
+
 // An overlay of three interleaved islands (node u sits in island u % 5 < 3
 // ? 0 : u % 5 - 2, so 60/20/20 percent), each a sparse ring in which every
 // member's view holds its next two members. S&F never bridges the islands,
 // every worker's node range holds members of all three, and the islands
 // are sparse enough that their connectivity rests on the rows of every
-// range, so the component census must merge all slices' forests.
+// range, so the component census must join edges from every slice.
 FlatSendForgetCluster island_cluster(std::size_t n) {
   FlatSendForgetCluster cluster(n, default_send_forget_config());
   std::vector<std::vector<NodeId>> islands(3);
@@ -321,6 +505,87 @@ TEST(ObsParallel, MergedProbeMatchesSerialProbeAtEveryThreadCount) {
        {Overlay::kSteady, Overlay::kChurned, Overlay::kDisconnected}) {
     for (const auto& [shards, threads] : layouts) {
       expect_probe_matches_serial(overlay, shards, threads);
+    }
+  }
+}
+
+// Largest weak component over live nodes by a union of every edge of
+// every live row, the definition the two-pass census must reproduce.
+std::uint64_t reference_largest_component(
+    const FlatSendForgetCluster& cluster) {
+  const std::size_t n = cluster.size();
+  std::vector<NodeId> parent(n);
+  std::iota(parent.begin(), parent.end(), 0u);
+  const auto find = [&](NodeId x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (NodeId u = 0; u < n; ++u) {
+    if (!cluster.live(u)) continue;
+    for (const NodeId v : cluster.view_ids(u)) {
+      if (cluster.live(v)) parent[find(u)] = find(v);
+    }
+  }
+  std::vector<std::uint64_t> size(n, 0);
+  std::uint64_t largest = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    if (cluster.live(u)) largest = std::max(largest, ++size[find(u)]);
+  }
+  return largest;
+}
+
+// (a) Connected only through slots past each row's first two occupied
+// ones: those hold a dead node and the next node of the row's own parity,
+// so pass 1 leaves the even and the odd nodes apart, and only pass 2's
+// walk of the rows outside the larger half joins them.
+FlatSendForgetCluster bridged_past_two_slots_cluster() {
+  const NodeId m = 60;
+  FlatSendForgetCluster cluster(m + 1, default_send_forget_config());
+  for (NodeId u = 0; u < m; ++u) {
+    cluster.install_view(u, {m, (u + 2) % m, (u + 4) % m, (u + 1) % m});
+  }
+  cluster.kill(m);
+  return cluster;
+}
+
+// (b) One node, 39, whose row holds only its own id, and which only an
+// in-edge from the giant component reaches: node 5 holds it past its first
+// two slots. Pass 2 walks just row 39 and finds no way out; the in-degree
+// excess (three occurrences, two of them in row 39) joins it.
+FlatSendForgetCluster reached_only_inward_cluster() {
+  const NodeId m = 39;
+  FlatSendForgetCluster cluster(m + 1, default_send_forget_config());
+  for (NodeId u = 0; u < m; ++u) {
+    std::vector<NodeId> ids = {(u + 1) % m, (u + 2) % m};
+    if (u == 5) ids.push_back(m);
+    cluster.install_view(u, ids);
+  }
+  cluster.install_view(m, {m, m});
+  return cluster;
+}
+
+// The component census against the union of every edge, at 1 to 4
+// slices, on the overlays where pass 1 alone is not enough.
+TEST(ObsParallel, ComponentCensusIsExactWherePassOneIsNot) {
+  const std::pair<const char*, FlatSendForgetCluster> overlays[] = {
+      {"bridged past two slots", bridged_past_two_slots_cluster()},
+      {"reached only inward", reached_only_inward_cluster()},
+      {"islands", island_cluster(2'003)}};
+  const std::uint64_t expected[] = {60, 40, 1'203};
+  for (std::size_t i = 0; i < std::size(overlays); ++i) {
+    const auto& [name, cluster] = overlays[i];
+    ASSERT_EQ(reference_largest_component(cluster), expected[i]) << name;
+    for (std::size_t slices = 1; slices <= 4; ++slices) {
+      SCOPED_TRACE(testing::Message() << name << ", " << slices << " slices");
+      std::vector<std::uint32_t> occurrences;
+      const obs::FlatClusterProbe probe = sliced_probe(
+          obs::FlatViews(cluster), slices, /*components=*/true, occurrences);
+      EXPECT_EQ(probe.largest_component, expected[i]);
+      obs::FlatClusterProbe degrees = probe;
+      degrees.largest_component.reset();
+      std::vector<std::uint32_t> serial_occurrences;
+      EXPECT_TRUE(degrees == obs::probe_cluster(cluster, &serial_occurrences));
+      EXPECT_EQ(occurrences, serial_occurrences);
     }
   }
 }

@@ -2,16 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <utility>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "analysis/degree_mc.hpp"
 #include "core/baselines/newscast.hpp"
 #include "core/baselines/push_pull.hpp"
 #include "core/baselines/shuffle.hpp"
 #include "core/send_forget.hpp"
+#include "core/flat_send_forget.hpp"
 #include "core/send_forget_row.hpp"
 #include "graph/graph_gen.hpp"
+#include "sim/cluster.hpp"
+#include "sim/cluster_probe.hpp"
 #include "sim/event_driver.hpp"
 #include "sim/round_driver.hpp"
 #include "test_support.hpp"
@@ -171,6 +175,63 @@ TEST(Robustness, BaselinesSkipIdsThePackedRowCannotHold) {
     EXPECT_NO_THROW(node->on_message(m, rng, transport));
     EXPECT_TRUE(node->view().contains(5));
   }
+}
+
+// The flat engine rejects ids of nodes it does not have at install time,
+// leaving the row untouched: a Release build would otherwise store
+// 0xFFFFFFFE as id 2147483646 tagged dependent.
+TEST(Robustness, FlatInstallRejectsIdsOutsideTheCluster) {
+  FlatSendForgetCluster cluster(4, SendForgetConfig{.view_size = 6,
+                                                    .min_degree = 0});
+  cluster.install_view(0, {1, 2});
+  for (const NodeId bad : {NodeId{4}, PackedViewEntry::kMaxId,
+                           NodeId{0xFFFF'FFFEu}, kNilNode}) {
+    EXPECT_THROW(cluster.install_view(0, {bad, 1}), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(cluster.install_slot(0, 5, bad), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(cluster.view_ids(0), (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(cluster.degree(0), 2u);
+  // Ids past the row's capacity are truncated, not checked.
+  cluster.install_view(1, {0, 2, 3, 3, 2, 0, 4});
+  EXPECT_EQ(cluster.degree(1), 6u);
+  cluster.install_slot(2, 5, 3);
+  EXPECT_EQ(cluster.view_ids(2), (std::vector<NodeId>{3}));
+}
+
+// A LocalView may hold any packable id (SendForget::on_message accepts ids
+// up to PackedViewEntry::kMaxId), including ids of nodes the cluster does
+// not have. The object-engine probe counts them as occupied (and
+// dependent) slots but toward no node's in-degree.
+TEST(Robustness, ObjectProbeIgnoresIdsOutsideTheCluster) {
+  const SendForgetConfig cfg{.view_size = 6, .min_degree = 0};
+  sim::Cluster cluster(3, [&](NodeId id) {
+    return std::make_unique<SendForget>(id, cfg);
+  });
+  Rng rng(9);
+  CaptureTransport transport;
+  const auto push = [&](NodeId to, ViewEntry a, ViewEntry b) {
+    Message m;
+    m.from = 1;
+    m.to = to;
+    m.kind = MessageKind::kPush;
+    m.payload = {a, b};
+    cluster.node(to).on_message(m, rng, transport);
+  };
+  push(0, ViewEntry{1, false}, ViewEntry{1'000'000, true});
+  push(0, ViewEntry{PackedViewEntry::kMaxId, false}, ViewEntry{2, true});
+  push(1, ViewEntry{0, false}, ViewEntry{2, false});
+  ASSERT_EQ(cluster.node(0).view().degree(), 4u);
+  std::vector<std::uint32_t> occurrences;
+  const obs::FlatClusterProbe probe =
+      sim::probe_cluster(cluster, &occurrences);
+  EXPECT_EQ(occurrences, (std::vector<std::uint32_t>{1, 1, 2}));
+  EXPECT_EQ(probe.occupied_slots, 6u);
+  EXPECT_EQ(probe.dependent_entries, 2u);
+  EXPECT_EQ(probe.indegree.max, 2u);
+  EXPECT_EQ(probe.indegree_hist, (std::vector<std::uint64_t>{
+                                     0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}));
 }
 
 TEST(Robustness, SfOddDegreeViewDeletesWhatDoesNotFit) {

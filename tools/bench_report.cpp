@@ -272,8 +272,8 @@ std::string overlay_health(sim::FlatRun& run) {
     return buf;
   }
   obs::ProbeSlices slices;
-  const obs::FlatClusterProbe probe = slices.run(
-      obs::FlatViews(cluster), /*degrees=*/true, /*components=*/true);
+  const obs::FlatClusterProbe probe =
+      slices.run(obs::FlatViews(cluster), /*components=*/true);
   std::snprintf(buf, sizeof(buf), "in-mean %.2f in-sd %.2f churn %zu%% conn %s",
                 probe.indegree.mean, probe.indegree.sd,
                 100 * run.churn_events() / (2 * spec.rounds),
@@ -336,10 +336,9 @@ struct GateOverheads {
   std::size_t ref_n = 0;
 };
 
-bool emit_json(const std::vector<BenchResult>& results,
-               const std::string& path, const GateOverheads& gates) {
+bool emit_json(const std::vector<BenchResult>& results, std::ofstream& out,
+               const GateOverheads& gates) {
   const std::size_t hw = std::thread::hardware_concurrency();
-  std::ofstream out(path);
   emit_header(out, "scale_trajectory");
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -527,7 +526,7 @@ DegreeRun run_degree_accelerated(const analysis::DegreeMcParams& params,
   return run;
 }
 
-bool emit_analysis_json(bool quick, const std::string& path) {
+bool emit_analysis_json(bool quick, std::ofstream& out) {
   // Degree MC ℓ-sweep at the paper's running example (reduced for --quick).
   analysis::DegreeMcParams dp;
   dp.view_size = quick ? 20 : 40;
@@ -604,7 +603,6 @@ bool emit_analysis_json(bool quick, const std::string& path) {
   std::printf("spectral (n=%zu): %.3f s, lambda2=%.4f, %zu iters\n", sn,
               s_seconds, sr.lambda2, sr.iterations);
 
-  std::ofstream out(path);
   emit_header(out, "analysis_pipeline");
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
 
@@ -758,7 +756,7 @@ ExportLeg run_export_leg(std::size_t n, std::size_t threads,
   return leg;
 }
 
-bool emit_telemetry_json(bool quick, const std::string& path) {
+bool emit_telemetry_json(bool quick, std::ofstream& out) {
   const std::size_t n = quick ? 5'000 : 50'000;
   const std::size_t threads = 4;
   // Past the 100-round watchdog warmup in both modes, so the Lemma 6.6/6.7
@@ -852,7 +850,6 @@ bool emit_telemetry_json(bool quick, const std::string& path) {
       static_cast<unsigned long long>(ex_var.snapshots),
       ex_fp_match ? "match" : "MISMATCH");
 
-  std::ofstream out(path);
   emit_header(out, "telemetry");
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   char buf[512];
@@ -1069,7 +1066,8 @@ void emit_drift_run(std::ofstream& out, const char* key, const DriftRun& r,
   out << buf;
 }
 
-bool emit_drift_json(bool quick, const std::string& path) {
+bool emit_drift_json(bool quick, const std::string& path,
+                     std::ofstream& out) {
   // Predictions at the paper's running example (s=40, dL=18) and ℓ = 0.02
   // — the same configuration every sharded bench simulates.
   const obs::TheoryPrediction pred = sim::theory_prediction(
@@ -1099,7 +1097,6 @@ bool emit_drift_json(bool quick, const std::string& path) {
   const bool mis_ok =
       mis.violations > 0 && mis.dump_written && mis.dump_events > 0;
 
-  std::ofstream out(path);
   emit_header(out, "drift_oracle");
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   char buf[512];
@@ -1340,7 +1337,7 @@ void emit_chaos_run(std::ofstream& out, const char* key, const ChaosRun& r) {
   out << "\n    ]\n  }";
 }
 
-bool emit_chaos_json(bool quick, const std::string& path) {
+bool emit_chaos_json(bool quick, std::ofstream& out) {
   // Recovery budgets are round counts and mean-field (n-independent), so
   // quick mode only shrinks n; the fault windows and budgets stay fixed.
   const std::size_t n = quick ? 2'000 : 4'000;
@@ -1438,7 +1435,6 @@ bool emit_chaos_json(bool quick, const std::string& path) {
   const bool retune_off_ok =
       retune_off_run.violations > 0 && retune_off_run.faulted > 0;
 
-  std::ofstream out(path);
   emit_header(out, "chaos_faults");
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   char buf[256];
@@ -1634,7 +1630,7 @@ ForensicsAnalysis analyze_forensics(const ForensicsArtifacts& artifacts,
   return result;
 }
 
-bool emit_forensics_json(bool quick, const std::string& path) {
+bool emit_forensics_json(bool quick, std::ofstream& out) {
   const std::size_t n = quick ? 2'000 : 4'000;
   // The whole load→index→attribute→render path on one leg's artifacts.
   // Measured ~0.1 s; the budget bounds regressions, not the mean.
@@ -1704,7 +1700,6 @@ bool emit_forensics_json(bool quick, const std::string& path) {
                          churn.analyze_seconds < kAnalyzeBudgetSeconds &&
                          drift.analyze_seconds < kAnalyzeBudgetSeconds;
 
-  std::ofstream out(path);
   emit_header(out, "forensics");
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   char buf[512];
@@ -1998,7 +1993,7 @@ void emit_arena_leg(std::ofstream& out, const ArenaRun& r, bool last) {
   out << "}" << (last ? "\n" : ",\n");
 }
 
-bool emit_arena_json(bool quick, const std::string& path) {
+bool emit_arena_json(bool quick, std::ofstream& out) {
   const std::size_t n = quick ? 128 : 256;
   const double losses[] = {0.0, 0.02, 0.10};
   const char* protocols[] = {"sf", "swim", "a2a"};
@@ -2110,7 +2105,6 @@ bool emit_arena_json(bool quick, const std::string& path) {
     }
   }
 
-  std::ofstream out(path);
   emit_header(out, "arena");
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   char buf[320];
@@ -2294,8 +2288,16 @@ int main(int argc, char** argv) {
                  path.c_str(), GOSSIP_GIT_DESCRIBE);
   }
 
+  // Opened before the first leg, so a bad path fails at once instead of
+  // after a run of minutes.
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
+    return 1;
+  }
+
   if (arena_mode) {
-    if (!emit_arena_json(quick, path)) {
+    if (!emit_arena_json(quick, out)) {
       std::fprintf(stderr, "error: arena run failed (%s)\n", path.c_str());
       return 1;
     }
@@ -2304,7 +2306,7 @@ int main(int argc, char** argv) {
   }
 
   if (forensics_mode) {
-    if (!emit_forensics_json(quick, path)) {
+    if (!emit_forensics_json(quick, out)) {
       std::fprintf(stderr, "error: forensics run failed (%s)\n",
                    path.c_str());
       return 1;
@@ -2314,7 +2316,7 @@ int main(int argc, char** argv) {
   }
 
   if (chaos_mode) {
-    if (!emit_chaos_json(quick, path)) {
+    if (!emit_chaos_json(quick, out)) {
       std::fprintf(stderr, "error: chaos run failed (%s)\n", path.c_str());
       return 1;
     }
@@ -2323,7 +2325,7 @@ int main(int argc, char** argv) {
   }
 
   if (drift_mode) {
-    if (!emit_drift_json(quick, path)) {
+    if (!emit_drift_json(quick, path, out)) {
       std::fprintf(stderr, "error: drift run failed (%s)\n", path.c_str());
       return 1;
     }
@@ -2332,7 +2334,7 @@ int main(int argc, char** argv) {
   }
 
   if (telemetry_mode) {
-    if (!emit_telemetry_json(quick, path)) {
+    if (!emit_telemetry_json(quick, out)) {
       std::fprintf(stderr, "error: telemetry run failed (%s)\n", path.c_str());
       return 1;
     }
@@ -2341,7 +2343,7 @@ int main(int argc, char** argv) {
   }
 
   if (analysis_mode) {
-    if (!emit_analysis_json(quick, path)) {
+    if (!emit_analysis_json(quick, out)) {
       std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
       return 1;
     }
@@ -2411,7 +2413,7 @@ int main(int argc, char** argv) {
     // lists).
     record(run_sharded(huge(10'000'000)));
   }
-  if (!emit_json(results, path, gates)) {
+  if (!emit_json(results, out, gates)) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     return 1;
   }

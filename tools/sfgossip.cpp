@@ -33,6 +33,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -847,19 +848,30 @@ int cmd_trace_dump(const ArgParser& args) {
 
 // ---------------------------------------------------------------- chaos
 
+// Every --option the named subcommand reads (its commands() entry).
+const std::vector<std::string_view>& command_options(std::string_view name);
+
 // The run options chaos, top and arena share. Each is read from its flag,
 // else from the scenario's config line of the same name ("key value"),
 // else from the subcommand's default. A scenario value gets the flag's
 // range check, and its error names the file:line.
 class RunOptions {
  public:
-  // Loads --scenario when given.
-  explicit RunOptions(const ArgParser& args) : args_(args) {
+  // Loads --scenario when given. A config line whose key is not an option
+  // of `command` is an error naming its file:line, as an unknown flag is.
+  RunOptions(const ArgParser& args, std::string_view command) : args_(args) {
     if (!args.has("scenario")) return;
     const std::string path = args.get_string("scenario", "");
     std::string error;
     if (!sim::load_scenario_file(path, &scenario_, &error)) {
       throw CliError("cannot load scenario '" + path + "': " + error);
+    }
+    const std::vector<std::string_view>& keys = command_options(command);
+    for (const sim::ScenarioConfigEntry& entry : scenario_.config) {
+      if (std::find(keys.begin(), keys.end(), entry.key) == keys.end()) {
+        throw CliError(scenario_.path + ":" + std::to_string(entry.line) +
+                       ": unknown scenario key '" + entry.key + "'");
+      }
     }
   }
 
@@ -962,7 +974,7 @@ int cmd_chaos(const ArgParser& args) {
     std::fputs(kChaosUsage, stdout);
     return 2;
   }
-  const RunOptions in(args);
+  const RunOptions in(args, "chaos");
   const std::string scenario_path = args.get_string("scenario", "");
   if (in.scenario().schedule.empty()) {
     throw CliError("scenario '" + scenario_path + "' declares no phases");
@@ -1140,7 +1152,7 @@ constexpr const char* kArenaUsage =
     "verdicts (no false confirmations, no timetable).\n";
 
 int cmd_arena(const ArgParser& args) {
-  const RunOptions in(args);
+  const RunOptions in(args, "arena");
   const std::string scenario_path = args.get_string("scenario", "");
   const sim::RunSpec spec = read_run_spec(
       in, {.nodes = 256, .max_nodes = 8192, .loss = 0.02, .shards = 4,
@@ -1395,7 +1407,7 @@ constexpr const char* kTopUsage =
     "                    when stdout is not a TTY)\n";
 
 int cmd_top(const ArgParser& args) {
-  const RunOptions in(args);
+  const RunOptions in(args, "top");
   const bool scripted = args.has("scenario");
   sim::RunSpec spec = read_run_spec(
       in, {.nodes = 2000, .max_nodes = 10'000'000, .loss = 0.02, .shards = 2,
@@ -1652,6 +1664,13 @@ const std::vector<Command>& commands() {
                       "threads", "json"})},
   };
   return table;
+}
+
+const std::vector<std::string_view>& command_options(std::string_view name) {
+  for (const Command& c : commands()) {
+    if (c.name == name) return c.options;
+  }
+  throw std::logic_error("no subcommand " + std::string(name));
 }
 
 }  // namespace
