@@ -9,6 +9,8 @@
 // (Lemmas A.1-A.3, 7.1) constructive rather than existential.
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/send_forget.hpp"
@@ -53,7 +55,16 @@ int main() {
   for (const std::size_t n : {12u, 24u, 48u, 96u}) {
     for (const std::uint64_t apart : {20u, 200u}) {
       const auto [from, to] = snapshot_pair(n, 4, apart, 100 + n + apart);
-      const auto moves = plan_transformation(from, to, kLimits);
+      std::vector<Move> moves;
+      try {
+        moves = plan_transformation(from, to, kLimits);
+      } catch (const std::runtime_error& error) {
+        // The planner throws when its route search finds no plan (or
+        // every plan would partition the graph): report the pair, go on.
+        std::printf("%6zu %8zu %14llu | refused: %s\n", n, from.edge_count(),
+                    static_cast<unsigned long long>(apart), error.what());
+        continue;
+      }
       std::size_t exchanges = 0;
       std::size_t borrows = 0;
       for (const auto& move : moves) {
@@ -71,7 +82,8 @@ int main() {
                   work == to ? "yes" : "NO");
     }
   }
-  print_note("every plan replays to the exact target graph; plan length "
+  print_note("every plan that is not refused replays to the exact target "
+             "graph; plan length "
              "scales near-linearly with the edge count (each relocation "
              "costs O(path length) primitive exchanges). Lemma A.1's "
              "'finite number of transformations' is typically a few per "

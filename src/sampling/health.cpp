@@ -5,9 +5,10 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/spectral.hpp"
+#include "obs/probe.hpp"
 #include "sampling/spatial.hpp"
+#include "sim/cluster_probe.hpp"
 
 namespace gossip::sampling {
 
@@ -45,8 +46,11 @@ HealthReport measure_health(const sim::Cluster& cluster, bool with_spectral) {
       refs == 0 ? 0.0
                 : static_cast<double>(dead_refs) / static_cast<double>(refs);
 
-  const auto snapshot = cluster.snapshot();
-  report.connected = is_weakly_connected_among(snapshot, cluster.liveness());
+  // The probe's component census is exact (obs/probe.hpp), and it needs
+  // neither a graph copy nor per-node adjacency lists.
+  const obs::FlatClusterProbe probe =
+      obs::ProbeSlices().run(sim::ObjectViews{cluster}, /*components=*/true);
+  report.connected = probe.largest_component == report.live;
 
   const auto metrics = cluster.aggregate_metrics();
   report.duplication_rate = metrics.duplication_rate();
@@ -57,9 +61,11 @@ HealthReport measure_health(const sim::Cluster& cluster, bool with_spectral) {
   report.dependent_fraction = dep.dependent_fraction_upper();
   report.independence = dep.independence_estimate();
 
-  if (with_spectral && report.live == report.nodes &&
-      snapshot.edge_count() > 0) {
-    report.spectral_gap = estimate_spectral_gap(snapshot).spectral_gap;
+  if (with_spectral && report.live == report.nodes) {
+    const Digraph snapshot = cluster.snapshot();
+    if (snapshot.edge_count() > 0) {
+      report.spectral_gap = estimate_spectral_gap(snapshot).spectral_gap;
+    }
   }
   return report;
 }

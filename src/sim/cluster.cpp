@@ -94,7 +94,7 @@ Digraph Cluster::snapshot() const {
   Digraph g(nodes_.size());
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     for (const NodeId v : nodes_[id]->view().ids()) {
-      g.add_edge(id, v);
+      if (v < nodes_.size()) g.add_edge(id, v);
     }
   }
   return g;

@@ -59,7 +59,9 @@ class Cluster {
   void install_graph(const Digraph& graph);
 
   // Snapshot of all views (live and dead) as a membership graph over
-  // size() vertices.
+  // size() vertices. A view may hold ids the cluster does not have (a
+  // LocalView accepts any packable id); they are left out, as the probe
+  // leaves them out.
   [[nodiscard]] Digraph snapshot() const;
 
   // Aggregated metrics over live nodes.

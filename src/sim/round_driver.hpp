@@ -5,9 +5,17 @@
 // receiving node" (§5). A *round* is the period in which each node is
 // expected to initiate exactly one action (§6.5), i.e. live_count()
 // uniformly random picks with replacement.
+//
+// A batch of actions draws all of its picks before it runs any of them.
+// Nothing inside a batch changes liveness (churn, kills and revives happen
+// between driver calls), so the picks stay i.i.d. uniform over the live
+// set; knowing them up front lets each action prefetch the protocol object
+// two picks ahead and the view row one pick ahead (DESIGN.md "Picks drawn
+// per batch, prefetched two ahead").
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "obs/oracle/flight_recorder.hpp"
@@ -24,16 +32,16 @@ class RoundDriver : private ObserverSet {
   // The driver borrows all three; they must outlive it.
   RoundDriver(Cluster& cluster, LossModel& loss, Rng& rng);
 
-  // One action: a uniformly random live node initiates; any messages are
-  // delivered (or lost) synchronously before this returns.
-  void step();
-
-  // `count` actions.
+  // `count` actions: first `count` uniformly random live picks, then each
+  // pick initiates in order, its messages delivered (or lost)
+  // synchronously before the next one runs. run_actions(1) is a single
+  // action.
   void run_actions(std::uint64_t count);
 
-  // `rounds` rounds of live_count() actions each. Attached observers are
-  // sampled at round boundaries (when the round index matches the series'
-  // stride); step()/run_actions() never sample — there is no round clock.
+  // `rounds` rounds of live_count() actions each, one batch per round.
+  // Attached observers are sampled at round boundaries (when the round
+  // index matches the series' stride); run_actions() never samples — there
+  // is no round clock.
   void run_rounds(std::uint64_t rounds);
 
   [[nodiscard]] std::uint64_t actions_executed() const { return actions_; }
@@ -69,7 +77,7 @@ class RoundDriver : private ObserverSet {
   }
   // Scripted link-level fault injection on the direct network (the round
   // clock run_rounds maintains doubles as the plane's schedule clock, so
-  // only run_rounds — not step/run_actions — advances phases).
+  // only run_rounds — not run_actions — advances phases).
   void attach_fault_plane(const FaultPlane* plane) {
     network_.set_fault_plane(plane);
   }
@@ -78,6 +86,8 @@ class RoundDriver : private ObserverSet {
   Cluster& cluster_;
   Rng& rng_;
   DirectNetwork network_;
+  // The current batch's picks, reused across calls.
+  std::vector<NodeId> picks_;
   std::uint64_t actions_ = 0;
   std::uint64_t rounds_completed_ = 0;
 };

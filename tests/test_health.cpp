@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "core/send_forget.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/graph_gen.hpp"
 #include "sim/round_driver.hpp"
 
@@ -84,6 +85,72 @@ TEST(Health, PartitionedReported) {
   const auto report = measure_health(cluster);
   EXPECT_FALSE(report.connected);
   EXPECT_NE(report.to_string().find("PARTITIONED"), std::string::npos);
+}
+
+// measure_health takes connectivity from the probe's component census;
+// the reference is a BFS over the membership-graph snapshot restricted to
+// live nodes.
+bool reference_connected(const sim::Cluster& cluster) {
+  return is_weakly_connected_among(cluster.snapshot(), cluster.liveness());
+}
+
+TEST(Health, ConnectivityMatchesReferenceOnSteadyOverlay) {
+  Rng rng(5);
+  sim::Cluster cluster(300, sf_factory());
+  cluster.install_graph(permutation_regular(300, 4, rng));
+  sim::UniformLoss loss(0.02);
+  sim::RoundDriver driver(cluster, loss, rng);
+  driver.run_rounds(50);
+  ASSERT_TRUE(reference_connected(cluster));
+  EXPECT_TRUE(measure_health(cluster).connected);
+}
+
+TEST(Health, ConnectivityMatchesReferenceOnPartition) {
+  sim::Cluster cluster(6, sf_factory());
+  // A triangle and a separate pair. Node 5 reaches the triangle only
+  // through its third slot, past the two edges the census lists first.
+  cluster.node(0).install_view({1, 2});
+  cluster.node(1).install_view({2, 0});
+  cluster.node(2).install_view({0, 1});
+  cluster.node(3).install_view({4, 4});
+  cluster.node(4).install_view({3, 3});
+  cluster.node(5).install_view({5, 5, 0});
+  ASSERT_FALSE(reference_connected(cluster));
+  EXPECT_FALSE(measure_health(cluster).connected);
+  // One edge from the pair into the triangle joins everything.
+  cluster.node(4).install_view({3, 3, 5});
+  ASSERT_TRUE(reference_connected(cluster));
+  EXPECT_TRUE(measure_health(cluster).connected);
+}
+
+TEST(Health, ConnectivityMatchesReferenceThroughDeadNode) {
+  sim::Cluster cluster(5, sf_factory());
+  // Two live pairs whose only link is node 4, which then leaves.
+  cluster.node(0).install_view({1, 4});
+  cluster.node(1).install_view({0, 4});
+  cluster.node(2).install_view({3, 4});
+  cluster.node(3).install_view({2, 4});
+  cluster.node(4).install_view({0, 2});
+  ASSERT_TRUE(reference_connected(cluster));
+  EXPECT_TRUE(measure_health(cluster).connected);
+  cluster.kill(4);
+  ASSERT_FALSE(reference_connected(cluster));
+  EXPECT_FALSE(measure_health(cluster).connected);
+}
+
+TEST(Health, ConnectivityMatchesReferenceWithIdsOutsideTheCluster) {
+  sim::Cluster cluster(4, sf_factory());
+  // Both pairs hold the same id the cluster does not have: it joins
+  // nothing.
+  cluster.node(0).install_view({1'000'000, 1});
+  cluster.node(1).install_view({0, 0});
+  cluster.node(2).install_view({1'000'000, 3});
+  cluster.node(3).install_view({2, 1'000'000});
+  ASSERT_FALSE(reference_connected(cluster));
+  EXPECT_FALSE(measure_health(cluster).connected);
+  cluster.node(3).install_view({2, 1'000'000, 1});
+  ASSERT_TRUE(reference_connected(cluster));
+  EXPECT_TRUE(measure_health(cluster).connected);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "core/flat_send_forget.hpp"
 #include "core/send_forget_row.hpp"
 #include "graph/graph_gen.hpp"
+#include "sampling/health.hpp"
 #include "sim/cluster.hpp"
 #include "sim/cluster_probe.hpp"
 #include "sim/event_driver.hpp"
@@ -232,6 +233,37 @@ TEST(Robustness, ObjectProbeIgnoresIdsOutsideTheCluster) {
   EXPECT_EQ(probe.indegree.max, 2u);
   EXPECT_EQ(probe.indegree_hist, (std::vector<std::uint64_t>{
                                      0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}));
+}
+
+// The membership-graph snapshot follows the probe's rule: an id the
+// cluster does not have names no vertex, so it gives no edge. Writing it
+// would index the graph's in-degree array out of bounds (Digraph::add_edge
+// only asserts), through measure_health as well as directly.
+TEST(Robustness, SnapshotIgnoresIdsOutsideTheCluster) {
+  const SendForgetConfig cfg{.view_size = 6, .min_degree = 0};
+  sim::Cluster cluster(4, [&](NodeId id) {
+    return std::make_unique<SendForget>(id, cfg);
+  });
+  Rng rng(10);
+  CaptureTransport transport;
+  Message m;
+  m.from = 2;
+  m.to = 0;
+  m.kind = MessageKind::kPush;
+  m.payload = {ViewEntry{1, false}, ViewEntry{1'000'000, false}};
+  cluster.node(0).on_message(m, rng, transport);
+  ASSERT_EQ(cluster.node(0).view().degree(), 2u);
+
+  const Digraph g = cluster.snapshot();
+  EXPECT_EQ(g.node_count(), 4u);
+  EXPECT_EQ(g.edge_count(), 1u);
+  EXPECT_EQ(g.out_neighbors(0), (std::vector<NodeId>{1}));
+  EXPECT_EQ(g.in_degree(1), 1u);
+
+  const sampling::HealthReport report =
+      sampling::measure_health(cluster, /*with_spectral=*/true);
+  EXPECT_EQ(report.edges, 2u);
+  EXPECT_FALSE(report.connected);
 }
 
 TEST(Robustness, SfOddDegreeViewDeletesWhatDoesNotFit) {
