@@ -95,7 +95,8 @@ double ArgParser::get_double(const std::string& name, double fallback,
   if (consumed != text.size()) {
     throw CliError("option --" + name + ": '" + text + "' is not a number");
   }
-  if (value < min_value || value > max_value) {
+  // Written so that NaN ("nan" parses) fails it.
+  if (!(value >= min_value && value <= max_value)) {
     throw CliError("option --" + name + ": " + text + " out of range");
   }
   return value;

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/packed_view.hpp"
 
 namespace gossip::sim {
 
@@ -13,20 +16,34 @@ namespace {
 
 bool in_range(NodeId lo, NodeId hi, NodeId u) { return u >= lo && u <= hi; }
 
-// "lo-hi" (inclusive) or a single id.
+// "lo-hi" (inclusive) or a single id. An id above PackedViewEntry::kMaxId
+// is rejected rather than narrowed, so it cannot wrap onto a range the
+// file never named.
 bool parse_id_range(const std::string& text, NodeId* lo, NodeId* hi) {
   const std::size_t dash = text.find('-');
+  unsigned long long first = 0;
+  unsigned long long last = 0;
   try {
     if (dash == std::string::npos) {
-      *lo = *hi = static_cast<NodeId>(std::stoull(text));
+      first = last = std::stoull(text);
     } else {
-      *lo = static_cast<NodeId>(std::stoull(text.substr(0, dash)));
-      *hi = static_cast<NodeId>(std::stoull(text.substr(dash + 1)));
+      first = std::stoull(text.substr(0, dash));
+      last = std::stoull(text.substr(dash + 1));
     }
   } catch (const std::exception&) {
     return false;
   }
-  return *lo <= *hi;
+  if (last > PackedViewEntry::kMaxId || first > last) return false;
+  *lo = static_cast<NodeId>(first);
+  *hi = static_cast<NodeId>(last);
+  return true;
+}
+
+// std::stod accepts "nan" and "inf"; no scenario value may be either.
+double parse_finite(const std::string& text) {
+  const double value = std::stod(text);
+  if (!std::isfinite(value)) throw std::invalid_argument("non-finite");
+  return value;
 }
 
 bool fail(std::string* error, const std::string& message) {
@@ -138,9 +155,9 @@ bool parse_scenario(std::istream& in, ScenarioFile* out, std::string* error) {
           ph.region = std::stoull(value);
           ph.region_scoped = true;
         } else if (key == "rate") {
-          ph.rate = std::stod(value);
+          ph.rate = parse_finite(value);
         } else if (key == "burst_len") {
-          ph.burst_len = std::stod(value);
+          ph.burst_len = parse_finite(value);
         } else if (key == "shard") {
           ph.shard = std::stoull(value);
         } else if (key == "label") {
@@ -208,7 +225,8 @@ FaultPlane::FaultPlane(FaultSchedule schedule, std::size_t node_count,
         }
         break;
       case FaultKind::kLossSpike:
-        if (ph.rate < 0.0 || ph.rate > 1.0) {
+        // Range checks are written so that NaN fails them.
+        if (!(ph.rate >= 0.0 && ph.rate <= 1.0)) {
           throw std::invalid_argument("loss spike rate must be in [0, 1]");
         }
         if (ph.region_scoped && ph.region >= schedule_.regions) {
@@ -216,11 +234,11 @@ FaultPlane::FaultPlane(FaultSchedule schedule, std::size_t node_count,
         }
         break;
       case FaultKind::kBurst: {
-        if (ph.rate <= 0.0 || ph.rate >= 1.0) {
+        if (!(ph.rate > 0.0 && ph.rate < 1.0)) {
           throw std::invalid_argument("burst rate must be in (0, 1)");
         }
-        if (ph.burst_len < 1.0) {
-          throw std::invalid_argument("burst_len must be >= 1");
+        if (!(ph.burst_len >= 1.0 && std::isfinite(ph.burst_len))) {
+          throw std::invalid_argument("burst_len must be finite and >= 1");
         }
         if (ph.region >= schedule_.regions) {
           throw std::invalid_argument("burst region out of range");
@@ -237,7 +255,7 @@ FaultPlane::FaultPlane(FaultSchedule schedule, std::size_t node_count,
         break;
       }
       case FaultKind::kDegradeShard:
-        if (ph.rate < 0.0 || ph.rate > 1.0) {
+        if (!(ph.rate >= 0.0 && ph.rate <= 1.0)) {
           throw std::invalid_argument("degrade rate must be in [0, 1]");
         }
         if (ph.shard >= shard_count) {

@@ -168,8 +168,21 @@ void ShardedDriver::initiate_phase(std::size_t shard,
   FlatPush msg;
   LocalCounts lc;
   std::uint64_t produced = 0;
+  // Nothing in phase A changes liveness (churn happens between run_rounds
+  // calls; inline delivery never kills), so drawing the round's k picks
+  // before the first action leaves them i.i.d. uniform over the live set;
+  // it only moves the picks' draws ahead of the actions' own. With the
+  // schedule known, the row of pick a + kAhead is fetched while pick a runs.
+  constexpr std::size_t kAhead = 4;
+  std::vector<NodeId>& picks = sh.picks;
+  picks.resize(k);
+  for (NodeId& u : picks) u = sh.live[rng.uniform(k)];
+  for (std::size_t a = 0; a < std::min(k, kAhead); ++a) {
+    cluster_.prefetch_node(picks[a]);
+  }
   for (std::size_t a = 0; a < k; ++a) {
-    const NodeId u = sh.live[rng.uniform(k)];
+    if (a + kAhead < k) cluster_.prefetch_node(picks[a + kAhead]);
+    const NodeId u = picks[a];
     if (quiesce && cluster_.degree(u) == 0) {
       // Idle skip: a degree-0 node's action is a guaranteed self-loop, so
       // skip its slot draws entirely (still one action / one self-loop in

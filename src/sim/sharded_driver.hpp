@@ -10,9 +10,10 @@
 // phases, separated by barriers:
 //
 //   phase A (initiate): each shard performs one initiate-action per live
-//     node it owns, drawing initiators uniformly (with replacement) from
-//     its own live set. Message loss is sampled at send time from the
-//     shard's RNG. Surviving intra-shard messages are delivered inline;
+//     node it owns. It first draws all of the round's initiators uniformly
+//     (with replacement) from its own live set, then runs them in order,
+//     prefetching the row of the initiator four actions ahead. Message
+//     loss is sampled at send time from the shard's RNG. Surviving intra-shard messages are delivered inline;
 //     surviving cross-shard messages are appended to the (sender, receiver)
 //     mailbox as fixed-size batch frames. Only an own-shard receiver's row
 //     is prefetched at send time; a cross-shard receiver's row belongs to
@@ -272,6 +273,9 @@ class ShardedDriver : private ObserverSet {
   struct alignas(64) Shard {
     Rng rng{0};
     std::vector<NodeId> live;   // dense live ids owned by this shard
+    // This round's initiators, drawn before its first action; reused
+    // across rounds.
+    std::vector<NodeId> picks;
     // Per-shard ambient loss model (null = scalar loss_rate fast path).
     std::unique_ptr<LossModel> loss;
     // Per-shard fault-plane state (burst chains, active-phase cache).

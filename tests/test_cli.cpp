@@ -37,6 +37,12 @@ TEST(ArgParser, RangeValidation) {
   EXPECT_THROW((void)(args.get_double("x", 0.0, 0.0, 1.0)), CliError);
 }
 
+TEST(ArgParser, NaNIsOutOfEveryRange) {
+  const ArgParser args({"--x", "nan", "--y", "-NaN"});
+  EXPECT_THROW((void)(args.get_double("x", 0.0, 0.0, 1.0)), CliError);
+  EXPECT_THROW((void)(args.get_double("y", 0.0, -1.0, 1.0)), CliError);
+}
+
 TEST(ArgParser, MalformedNumbers) {
   const ArgParser args({"--n", "4x2", "--x", "zero"});
   EXPECT_THROW((void)(args.get_int("n", 0, 0, 100)), CliError);

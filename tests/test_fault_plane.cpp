@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/flat_send_forget.hpp"
+#include "core/packed_view.hpp"
 #include "core/send_forget.hpp"
 #include "graph/graph_gen.hpp"
 #include "obs/oracle/flight_recorder.hpp"
@@ -136,6 +138,59 @@ TEST(ScenarioParse, RejectsMalformedInput) {
   EXPECT_NE(parse_error("regions 0\n").find("positive count"),
             std::string::npos);
   EXPECT_NE(parse_error("nodes\n").find("needs a value"), std::string::npos);
+}
+
+// std::stod reads "nan" and "inf", and a NaN fails every ordered range
+// check, so a non-finite rate used to run as an inert phase. An id above
+// PackedViewEntry::kMaxId used to be narrowed to 32 bits, which wrapped
+// b=4294968296-4294969295 onto 1000-1999.
+TEST(ScenarioParse, RejectsNonFiniteValuesAndOversizedIds) {
+  for (const char* text :
+       {"phase loss_spike 10 40 rate=nan\n",
+        "phase loss_spike 10 40 rate=-nan\n",
+        "phase loss_spike 10 40 rate=inf\n",
+        "phase degrade 10 40 shard=0 rate=NAN\n",
+        "phase burst 10 40 region=0 rate=0.3 burst_len=nan\n",
+        "phase burst 10 40 region=0 rate=0.3 burst_len=inf\n"}) {
+    SCOPED_TRACE(text);
+    EXPECT_NE(parse_error(text).find("bad value"), std::string::npos);
+  }
+  EXPECT_NE(parse_error("phase partition 10 40 a=0-999 "
+                        "b=4294968296-4294969295\n")
+                .find("bad id range"),
+            std::string::npos);
+  EXPECT_NE(parse_error("phase partition 10 40 a=0-999 b=2147483647\n")
+                .find("bad id range"),
+            std::string::npos);
+  const ScenarioFile max =
+      parse_ok("phase partition 10 40 a=0 b=2147483646\n");
+  EXPECT_EQ(max.schedule.phases.at(0).b_hi, PackedViewEntry::kMaxId);
+}
+
+// A schedule built in code skips the parser; the plane's own range checks
+// must still refuse NaN.
+TEST(FaultPlaneCtor, RejectsNaNRates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto phase = [](FaultKind kind, double rate, double burst_len) {
+    FaultPhase ph;
+    ph.kind = kind;
+    ph.begin = 10;
+    ph.end = 40;
+    ph.rate = rate;
+    ph.burst_len = burst_len;
+    FaultSchedule schedule;
+    schedule.phases.push_back(ph);
+    return schedule;
+  };
+  EXPECT_THROW(FaultPlane(phase(FaultKind::kLossSpike, nan, 8.0), 50),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlane(phase(FaultKind::kDegradeShard, nan, 8.0), 50),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlane(phase(FaultKind::kBurst, nan, 8.0), 50),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlane(phase(FaultKind::kBurst, 0.3, nan), 50),
+               std::invalid_argument);
+  EXPECT_NO_THROW(FaultPlane(phase(FaultKind::kBurst, 0.3, 8.0), 50));
 }
 
 TEST(FaultPlaneCtor, ValidatesPhaseParameters) {

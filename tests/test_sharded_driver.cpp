@@ -354,6 +354,68 @@ TEST(ShardedDriver, Obs51InvariantUnderParallelLossAndChurn) {
   EXPECT_GT(driver.network_metrics().delivered, 0u);
 }
 
+// The phase-A schedule itself: each round a shard first draws one pick per
+// live node it owns, then runs the picks in order, drawing loss at send and
+// delivering an own-shard message inline on the same stream. With one shard
+// and no churn the live list is [0, n) in order, so a reference loop over
+// the cluster API on Rng::stream(seed, 0) must leave the same fingerprint
+// and the same counters.
+TEST(ShardedDriver, InitiatorsDrawnBeforeTheRoundRuns) {
+  constexpr std::size_t kNodes = 500;
+  constexpr std::uint64_t kSeed = 31;
+  constexpr double kLoss = 0.02;
+  FlatSendForgetCluster driven(kNodes, default_send_forget_config());
+  FlatSendForgetCluster reference(kNodes, default_send_forget_config());
+  install_regular_topology(driven, 18, 5);
+  install_regular_topology(reference, 18, 5);
+  ShardedDriver driver(driven, ShardedDriverConfig{.shard_count = 1,
+                                                   .thread_count = 1,
+                                                   .loss_rate = kLoss,
+                                                   .seed = kSeed});
+  driver.run_rounds(30);
+
+  Rng rng = Rng::stream(kSeed, 0);
+  ProtocolMetrics pm;
+  NetworkMetrics nm;
+  std::vector<NodeId> picks(kNodes);
+  FlatPush msg;
+  for (int round = 0; round < 30; ++round) {
+    for (NodeId& u : picks) u = static_cast<NodeId>(rng.uniform(kNodes));
+    for (const NodeId u : picks) {
+      ++pm.actions_initiated;
+      const FlatInitiateResult result = reference.initiate(u, rng, msg);
+      if (result == FlatInitiateResult::kSelfLoop) {
+        ++pm.self_loop_actions;
+        continue;
+      }
+      if (result == FlatInitiateResult::kSentDuplicated) ++pm.duplications;
+      ++nm.sent;
+      if (rng.bernoulli(kLoss)) {
+        ++nm.lost;
+        continue;
+      }
+      ASSERT_TRUE(reference.live(msg.to));
+      ++nm.delivered;
+      const std::size_t accepted = reference.receive(msg.to, msg, rng);
+      pm.ids_accepted += accepted;
+      if (accepted < msg.count) ++pm.deletions;
+    }
+  }
+  EXPECT_GT(nm.lost, 0u);
+  EXPECT_EQ(driven.fingerprint(), reference.fingerprint());
+  const ProtocolMetrics dp = driver.protocol_metrics();
+  EXPECT_EQ(dp.actions_initiated, pm.actions_initiated);
+  EXPECT_EQ(dp.self_loop_actions, pm.self_loop_actions);
+  EXPECT_EQ(dp.duplications, pm.duplications);
+  EXPECT_EQ(dp.deletions, pm.deletions);
+  EXPECT_EQ(dp.ids_accepted, pm.ids_accepted);
+  const NetworkMetrics dn = driver.network_metrics();
+  EXPECT_EQ(dn.sent, nm.sent);
+  EXPECT_EQ(dn.lost, nm.lost);
+  EXPECT_EQ(dn.delivered, nm.delivered);
+  EXPECT_EQ(dn.to_dead, 0u);
+}
+
 TEST(ShardedDriver, OneShardMatchesRoundDriverStatistically) {
   // The sharded schedule (stratified initiations, barrier-drained
   // deliveries) must reproduce the serialized driver's steady state:
