@@ -16,6 +16,25 @@ namespace {
 
 bool in_range(NodeId lo, NodeId hi, NodeId u) { return u >= lo && u <= hi; }
 
+// Whole-token parses: std::stoull and std::stod stop at the first character
+// they cannot read, so "0.5x" would otherwise pass as 0.5. std::stod also
+// reads "nan" and "inf"; no scenario value may be either.
+unsigned long long parse_count(const std::string& text) {
+  std::size_t consumed = 0;
+  const unsigned long long value = std::stoull(text, &consumed);
+  if (consumed != text.size()) throw std::invalid_argument("trailing text");
+  return value;
+}
+
+double parse_finite(const std::string& text) {
+  std::size_t consumed = 0;
+  const double value = std::stod(text, &consumed);
+  if (consumed != text.size() || !std::isfinite(value)) {
+    throw std::invalid_argument("not a finite number");
+  }
+  return value;
+}
+
 // "lo-hi" (inclusive) or a single id. An id above PackedViewEntry::kMaxId
 // is rejected rather than narrowed, so it cannot wrap onto a range the
 // file never named.
@@ -25,10 +44,10 @@ bool parse_id_range(const std::string& text, NodeId* lo, NodeId* hi) {
   unsigned long long last = 0;
   try {
     if (dash == std::string::npos) {
-      first = last = std::stoull(text);
+      first = last = parse_count(text);
     } else {
-      first = std::stoull(text.substr(0, dash));
-      last = std::stoull(text.substr(dash + 1));
+      first = parse_count(text.substr(0, dash));
+      last = parse_count(text.substr(dash + 1));
     }
   } catch (const std::exception&) {
     return false;
@@ -37,13 +56,6 @@ bool parse_id_range(const std::string& text, NodeId* lo, NodeId* hi) {
   *lo = static_cast<NodeId>(first);
   *hi = static_cast<NodeId>(last);
   return true;
-}
-
-// std::stod accepts "nan" and "inf"; no scenario value may be either.
-double parse_finite(const std::string& text) {
-  const double value = std::stod(text);
-  if (!std::isfinite(value)) throw std::invalid_argument("non-finite");
-  return value;
 }
 
 bool fail(std::string* error, const std::string& message) {
@@ -152,14 +164,14 @@ bool parse_scenario(std::istream& in, ScenarioFile* out, std::string* error) {
             return fail(error, "mode must be symmetric|asymmetric" + at);
           }
         } else if (key == "region") {
-          ph.region = std::stoull(value);
+          ph.region = parse_count(value);
           ph.region_scoped = true;
         } else if (key == "rate") {
           ph.rate = parse_finite(value);
         } else if (key == "burst_len") {
           ph.burst_len = parse_finite(value);
         } else if (key == "shard") {
-          ph.shard = std::stoull(value);
+          ph.shard = parse_count(value);
         } else if (key == "label") {
           ph.label = value;
         } else {

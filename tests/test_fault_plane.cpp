@@ -143,7 +143,8 @@ TEST(ScenarioParse, RejectsMalformedInput) {
 // std::stod reads "nan" and "inf", and a NaN fails every ordered range
 // check, so a non-finite rate used to run as an inert phase. An id above
 // PackedViewEntry::kMaxId used to be narrowed to 32 bits, which wrapped
-// b=4294968296-4294969295 onto 1000-1999.
+// b=4294968296-4294969295 onto 1000-1999. Trailing text after a number
+// ("0.5garbage", "100-199-5000") used to be dropped silently.
 TEST(ScenarioParse, RejectsNonFiniteValuesAndOversizedIds) {
   for (const char* text :
        {"phase loss_spike 10 40 rate=nan\n",
@@ -151,7 +152,10 @@ TEST(ScenarioParse, RejectsNonFiniteValuesAndOversizedIds) {
         "phase loss_spike 10 40 rate=inf\n",
         "phase degrade 10 40 shard=0 rate=NAN\n",
         "phase burst 10 40 region=0 rate=0.3 burst_len=nan\n",
-        "phase burst 10 40 region=0 rate=0.3 burst_len=inf\n"}) {
+        "phase burst 10 40 region=0 rate=0.3 burst_len=inf\n",
+        "phase loss_spike 10 40 rate=0.5garbage\n",
+        "phase loss_spike 10 40 region=1x rate=0.5\n",
+        "phase degrade 10 40 shard=0.5 rate=0.5\n"}) {
     SCOPED_TRACE(text);
     EXPECT_NE(parse_error(text).find("bad value"), std::string::npos);
   }
@@ -159,9 +163,13 @@ TEST(ScenarioParse, RejectsNonFiniteValuesAndOversizedIds) {
                         "b=4294968296-4294969295\n")
                 .find("bad id range"),
             std::string::npos);
-  EXPECT_NE(parse_error("phase partition 10 40 a=0-999 b=2147483647\n")
-                .find("bad id range"),
-            std::string::npos);
+  for (const char* range : {"b=2147483647", "b=100-199-5000", "b=1e3"}) {
+    SCOPED_TRACE(range);
+    EXPECT_NE(parse_error(std::string("phase partition 10 40 a=0-99 ") +
+                          range + "\n")
+                  .find("bad id range"),
+              std::string::npos);
+  }
   const ScenarioFile max =
       parse_ok("phase partition 10 40 a=0 b=2147483646\n");
   EXPECT_EQ(max.schedule.phases.at(0).b_hi, PackedViewEntry::kMaxId);
