@@ -325,6 +325,24 @@ void BM_SnapshotGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotGraph)->Arg(1000);
 
+// The initial overlay of every S&F run: permutation_regular at n =
+// range(0), k = range(1), build and free. Serial, so wall clock.
+void BM_PermutationRegular(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  Rng rng(8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(permutation_regular(n, k, rng));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n * k));
+}
+BENCHMARK(BM_PermutationRegular)
+    ->Args({50000, 18})
+    ->Args({1000000, 18})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_WeakConnectivityCheck(benchmark::State& state) {
   Rng rng(6);
   const auto n = static_cast<std::size_t>(state.range(0));

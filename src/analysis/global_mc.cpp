@@ -374,14 +374,17 @@ GlobalMcResult build_global_mc(const GlobalMcParams& params) {
 GlobalState state_from_graph(const Digraph& graph) {
   GlobalState state(graph.node_count());
   for (NodeId u = 0; u < graph.node_count(); ++u) {
-    state[u] = graph.out_neighbors(u);
+    const auto out = graph.out_neighbors(u);
+    state[u].assign(out.begin(), out.end());
     std::sort(state[u].begin(), state[u].end());
   }
   return state;
 }
 
 Digraph graph_from_state(const GlobalState& state) {
-  Digraph g(state.size());
+  std::size_t edges = 0;
+  for (const auto& view : state) edges += view.size();
+  Digraph g(state.size(), edges);
   for (NodeId u = 0; u < state.size(); ++u) {
     for (const NodeId v : state[u]) {
       g.add_edge(u, v);

@@ -7,7 +7,7 @@ namespace gossip {
 AllToAll::AllToAll(NodeId self, const AllToAllConfig& config)
     : PeerProtocol(self, config.view_size), config_(config) {}
 
-void AllToAll::install_view(const std::vector<NodeId>& ids) {
+void AllToAll::install_view(std::span<const NodeId> ids) {
   PeerProtocol::install_view(ids);
   table_.clear();
   present_.clear();

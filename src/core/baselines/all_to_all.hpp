@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -49,7 +50,8 @@ class AllToAll final : public PeerProtocol {
 
   [[nodiscard]] const AllToAllConfig& config() const { return config_; }
 
-  void install_view(const std::vector<NodeId>& ids) override;
+  using PeerProtocol::install_view;
+  void install_view(std::span<const NodeId> ids) override;
 
   void on_round(std::uint64_t round, Rng& rng, Transport& transport) override;
   void on_initiate(Rng& rng, Transport& transport) override;

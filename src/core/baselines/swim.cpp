@@ -33,7 +33,7 @@ Swim::Status status_from_wire(std::uint8_t wire) {
 Swim::Swim(NodeId self, const SwimConfig& config)
     : PeerProtocol(self, config.view_size), config_(config) {}
 
-void Swim::install_view(const std::vector<NodeId>& ids) {
+void Swim::install_view(std::span<const NodeId> ids) {
   PeerProtocol::install_view(ids);
   table_.clear();
   present_.clear();

@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -78,7 +79,8 @@ class Swim final : public PeerProtocol {
 
   // Seeds the member table (everyone alive, incarnation 0) and announces
   // this node so joiners disseminate themselves.
-  void install_view(const std::vector<NodeId>& ids) override;
+  using PeerProtocol::install_view;
+  void install_view(std::span<const NodeId> ids) override;
 
   void on_round(std::uint64_t round, Rng& rng, Transport& transport) override;
   // Fallback for round-less drivers: one probe step on an internal clock.

@@ -122,7 +122,7 @@ void FlatSendForgetCluster::check_id(NodeId id) const {
 }
 
 void FlatSendForgetCluster::install_view(NodeId u,
-                                         const std::vector<NodeId>& ids) {
+                                         std::span<const NodeId> ids) {
   assert(u < n_);
   const std::size_t count = std::min(ids.size(), view_size_);
   NodeId largest = 0;

@@ -37,6 +37,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "common/first_touch.hpp"
@@ -110,7 +112,10 @@ class FlatSendForgetCluster {
   // Installs up to s out-neighbors into u's first slots, tagged independent.
   // Throws std::invalid_argument, leaving the row as it was, if one of
   // them is not a node of the cluster (id >= size()).
-  void install_view(NodeId u, const std::vector<NodeId>& ids);
+  void install_view(NodeId u, std::span<const NodeId> ids);
+  void install_view(NodeId u, std::initializer_list<NodeId> ids) {
+    install_view(u, std::span<const NodeId>(ids.begin(), ids.size()));
+  }
 
   // Installs views from a membership graph: node u's view receives the
   // multiset of out-neighbors of u (truncated at capacity). Throws
@@ -119,9 +124,9 @@ class FlatSendForgetCluster {
 
   // Installs `id` (tagged independent) into slot `slot` of u, which must be
   // empty; throws std::invalid_argument if id >= size(). Lets callers seed
-  // huge clusters slot-by-slot — e.g. from a family of permutations —
-  // without ever materializing a Digraph whose vector-of-vectors adjacency
-  // would dwarf the packed slab at n = 10^7.
+  // huge clusters slot by slot without materializing a Digraph, whose
+  // arena alone is a further n x k x 4 B (sim::install_permutation_regular
+  // writes permutation_regular's rows this way).
   void install_slot(NodeId u, std::size_t slot, NodeId id);
 
   // Ids of u's nonempty slots, in slot order (multiset semantics).

@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "common/node_id.hpp"
@@ -92,12 +94,17 @@ class PeerProtocol {
   // Installs an initial view: up to capacity ids are written into the first
   // slots, tagged independent. Used to load generated topologies. Virtual:
   // full-membership detectors also seed their member tables from `ids`.
-  virtual void install_view(const std::vector<NodeId>& ids) {
+  // An override hides the brace-list form unless it adds
+  // `using PeerProtocol::install_view;`.
+  virtual void install_view(std::span<const NodeId> ids) {
     view_.clear_all();
     const std::size_t count = std::min(ids.size(), view_.capacity());
     for (std::size_t i = 0; i < count; ++i) {
       view_.set(i, ViewEntry{ids[i], /*dependent=*/false});
     }
+  }
+  void install_view(std::initializer_list<NodeId> ids) {
+    install_view(std::span<const NodeId>(ids.begin(), ids.size()));
   }
 
  protected:

@@ -54,6 +54,15 @@ std::vector<NodeId> LocalView::ids() const {
   return out;
 }
 
+std::size_t LocalView::copy_ids(NodeId* out) const {
+  std::size_t count = 0;
+  for (const PackedViewEntry slot : row_) {
+    out[count] = slot.id_unchecked();
+    count += slot.empty() ? 0 : 1;
+  }
+  return count;
+}
+
 std::size_t LocalView::dependent_count() const {
   std::size_t count = 0;
   for (const PackedViewEntry slot : row_) {
@@ -62,12 +71,11 @@ std::size_t LocalView::dependent_count() const {
   return count;
 }
 
-std::size_t LocalView::intra_view_duplicates() const {
-  auto sorted = ids();
-  std::sort(sorted.begin(), sorted.end());
+std::size_t LocalView::intra_view_duplicates(IdSet& seen) const {
+  seen.reset(degree_);
   std::size_t duplicates = 0;
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i] == sorted[i - 1]) ++duplicates;
+  for (const PackedViewEntry slot : row_) {
+    if (!slot.empty() && !seen.insert(slot.id_unchecked())) ++duplicates;
   }
   return duplicates;
 }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/id_set.hpp"
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
 #include "core/packed_view.hpp"
@@ -80,13 +81,18 @@ class LocalView {
   [[nodiscard]] std::vector<ViewEntry> entries() const;
   // Ids of nonempty entries in slot order (with multiplicity).
   [[nodiscard]] std::vector<NodeId> ids() const;
+  // The same ids written to out[0, degree()), for scans over every view
+  // that should not allocate per view; returns degree(). `out` must have
+  // room for capacity() ids. No branch per slot.
+  std::size_t copy_ids(NodeId* out) const;
 
   // Number of nonempty slots tagged dependent.
   [[nodiscard]] std::size_t dependent_count() const;
 
   // Number of redundant duplicate ids within this view (multiset count
-  // minus distinct count over nonempty slots).
-  [[nodiscard]] std::size_t intra_view_duplicates() const;
+  // minus distinct count over nonempty slots). `seen` is scratch that a
+  // scan over every view reuses across views.
+  [[nodiscard]] std::size_t intra_view_duplicates(IdSet& seen) const;
 
   void clear_all();
 

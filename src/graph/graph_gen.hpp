@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <span>
 
 #include "common/rng.hpp"
 #include "graph/digraph.hpp"
@@ -26,9 +28,23 @@ namespace gossip {
 // Union of `k` random fixed-point-free permutations: every node has
 // outdegree k AND indegree k, hence sum degree ds(u) = 3k for all u.
 // This is the initialization required by §6.1 (ds(u) = dm with dm = 3k).
-// Requires n >= 2.
+// Requires n >= 2. Row u holds round r's image of u in slot r.
 [[nodiscard]] Digraph permutation_regular(std::size_t n, std::size_t k,
                                           Rng& rng);
+
+// The draws of permutation_regular, for callers that write its rows
+// somewhere other than a Digraph (FlatSendForgetCluster's slab, through
+// sim::install_permutation_regular). The k rounds are drawn in order, at
+// most kPermutationBatch at a time; each batch goes to
+// sink(first, count, perms), where perms[b * n + u] is the image of u under
+// round first + b, that is the out-neighbor in slot first + b of row u. The
+// buffer (count x n x 4 B) is freed on return. Throws std::invalid_argument
+// if n < 2.
+inline constexpr std::size_t kPermutationBatch = 4;
+using PermutationBatchSink = std::function<void(
+    std::size_t first, std::size_t count, std::span<const NodeId> perms)>;
+void draw_permutation_rounds(std::size_t n, std::size_t k, Rng& rng,
+                             const PermutationBatchSink& sink);
 
 // Adversarial chain u -> u+1 (weakly connected, maximally stretched).
 [[nodiscard]] Digraph line_graph(std::size_t n);

@@ -1,5 +1,7 @@
 #include "graph/graph_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -7,8 +9,28 @@
 namespace gossip {
 
 namespace {
+
 constexpr const char* kHeader = "membership-graph v1";
+
+// The number of lines left in `in`, an upper bound on the edges still to
+// read; 0, with nothing read, when the stream cannot tell its position.
+std::size_t lines_left(std::istream& in) {
+  const std::istream::pos_type start = in.tellg();
+  if (start == std::istream::pos_type(-1)) return 0;
+  std::size_t lines = 1;  // the last line may lack its '\n'
+  char buffer[1 << 16];
+  while (in.read(buffer, sizeof buffer) || in.gcount() > 0) {
+    lines += static_cast<std::size_t>(
+        std::count(buffer, buffer + in.gcount(), '\n'));
+  }
+  in.clear();
+  if (!in.seekg(start)) {
+    throw std::runtime_error("cannot seek back in the graph stream");
+  }
+  return lines;
 }
+
+}  // namespace
 
 void write_graph(std::ostream& out, const Digraph& graph) {
   out << kHeader << '\n';
@@ -36,13 +58,24 @@ Digraph read_graph(std::istream& in) {
     if (!std::getline(in, line)) {
       throw std::invalid_argument("missing node count");
     }
+    // The count must be plain decimal digits: no sign, no trailing text,
+    // and no more nodes than NodeId can name, since ids are narrowed to it
+    // below. Checked before the graph is allocated.
     std::istringstream fields(line);
     std::string keyword;
-    if (!(fields >> keyword >> n) || keyword != "nodes") {
+    std::string count;
+    std::string trailing;
+    if (!(fields >> keyword >> count) || keyword != "nodes" ||
+        (fields >> trailing)) {
+      throw std::invalid_argument("malformed node count line: " + line);
+    }
+    const char* const last = count.data() + count.size();
+    const auto [end, error] = std::from_chars(count.data(), last, n);
+    if (error != std::errc() || end != last || n > kNilNode) {
       throw std::invalid_argument("malformed node count line: " + line);
     }
   }
-  Digraph graph(n);
+  Digraph graph(n, lines_left(in));
   std::size_t line_number = 2;
   while (std::getline(in, line)) {
     ++line_number;

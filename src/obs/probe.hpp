@@ -15,6 +15,12 @@
 // for any slicing. The serial entry points are one slice over [0, n)
 // followed by the same merge.
 //
+// Slice 0 counts in-degrees straight into the merged 32-bit array; every
+// other slice counts into an 8-bit partial and lists an id each time its
+// count wraps, and the merge adds 256 per listed wrap. A slice's count of
+// one id is about its share of the mean in-degree, so wraps are rare, and
+// the partials take a quarter of the memory and cache of 32-bit ones.
+//
 // The row walk has no per-slot branch. S&F rows are about half empty at
 // random positions, so a test per slot mispredicts about every other slot.
 // A slice instead compacts each row's in-cluster ids with
@@ -29,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -78,11 +85,11 @@ class ProbeSlices {
     n_ = n;
     components_ = components;
     partials_.resize(slices);
-    const auto keep = [](std::vector<std::uint32_t>& v, std::size_t size) {
+    const auto keep = [](auto& v, std::size_t size) {
       if (size > 0) {
         v.resize(size);
       } else {
-        std::vector<std::uint32_t>().swap(v);
+        std::remove_reference_t<decltype(v)>().swap(v);
       }
     };
     occurrences_ = occurrences;
@@ -93,9 +100,6 @@ class ProbeSlices {
     }
     keep(edges_, components ? 2 * n : 0);
     keep(forest_, components ? n : 0);
-    // The component census counts into slice 1's in-degree partial once
-    // the merge has consumed it; only a one-slice probe needs its own array.
-    keep(counts_, components && slices == 1 ? n : 0);
   }
 
   // Walks the rows of [lo, hi) into slice k's partials.
@@ -137,9 +141,11 @@ class ProbeSlices {
     std::uint64_t occupied = 0;
     std::uint64_t capacity = 0;
     std::uint64_t dependent = 0;
-    // Per-id in-degree from this slice's rows; slice 0 counts straight
-    // into the merged array instead.
-    std::vector<std::uint32_t> indegree;
+    // Per-id in-degree from this slice's rows modulo 256, and each id
+    // once per wrap of its count; slice 0 counts straight into the merged
+    // array instead.
+    std::vector<std::uint8_t> indegree;
+    std::vector<std::uint32_t> wrapped;
     // One row's compacted in-cluster ids.
     std::vector<std::uint32_t> ids;
   };
@@ -220,11 +226,12 @@ class ProbeSlices {
   std::vector<std::uint32_t>* occurrences_ = nullptr;  // borrowed
   std::vector<std::uint32_t> own_indegree_;
   // Pass 1 of the component census: row u's first two edges to live ids
-  // at [2u, 2u + 2), u itself standing in for a missing one.
+  // at [2u, 2u + 2), u itself standing in for a missing one. Once pass 1
+  // has consumed it, the census keeps its per-tree counts in [n, 2n) and
+  // the nodes outside the giant tree in [0, n).
   std::vector<std::uint32_t> edges_;
   // Union-find parents over every id.
   std::vector<std::uint32_t> forest_;
-  std::vector<std::uint32_t> counts_;
 };
 
 template <bool kComponents, class Views>
@@ -239,9 +246,14 @@ void ProbeSlices::slice_impl(const Views& views, std::size_t k, NodeId lo,
   std::uint64_t occupied = 0;
   std::uint64_t capacity = 0;
   std::uint64_t tagged = 0;
-  std::uint32_t* const indegree =
-      k == 0 ? merged_indegree().data() : p.indegree.data();
-  std::fill(indegree, indegree + n_, 0u);
+  std::uint32_t* const merged = merged_indegree().data();
+  std::uint8_t* const partial = p.indegree.data();
+  if (k == 0) {
+    std::fill(merged, merged + n_, 0u);
+  } else {
+    std::fill(partial, partial + n_, std::uint8_t{0});
+  }
+  p.wrapped.clear();
   std::uint32_t* const edges = edges_.data();
   for (NodeId u = lo; u < hi; ++u) {
     const std::size_t e = 2 * static_cast<std::size_t>(u);
@@ -272,7 +284,13 @@ void ProbeSlices::slice_impl(const Views& views, std::size_t k, NodeId lo,
     }
     // Every empty slot carries the tag bit; the rest are dependent entries.
     tagged -= cap - d;
-    for (std::size_t j = 0; j < m; ++j) ++indegree[ids[j]];
+    if (k == 0) {
+      for (std::size_t j = 0; j < m; ++j) ++merged[ids[j]];
+    } else {
+      for (std::size_t j = 0; j < m; ++j) {
+        if (++partial[ids[j]] == 0) p.wrapped.push_back(ids[j]);
+      }
+    }
     if constexpr (kComponents) {
       const auto edge = [&](std::size_t j) {
         return j < m && views.live(ids[j]) ? ids[j] : u;
@@ -310,6 +328,9 @@ FlatClusterProbe ProbeSlices::merge(const Views& views) {
   }
   probe.indegree_hist.assign(2 * max_capacity + 1, 0);
   std::uint32_t* const indegree = merged_indegree().data();
+  for (std::size_t k = 1; k < partials_.size(); ++k) {
+    for (const std::uint32_t id : partials_[k].wrapped) indegree[id] += 256;
+  }
   Summary out;
   Summary in;
   for (NodeId u = 0; u < n_; ++u) {
@@ -369,10 +390,9 @@ std::uint64_t ProbeSlices::largest_component(const Views& views,
   // live components.
   if (live - joined <= 1) return live;
 
-  std::vector<std::uint32_t>& counts =
-      partials_.size() > 1 ? partials_[1].indegree : counts_;
+  std::uint32_t* const counts = edges_.data() + n;
   const auto largest_tree = [&] {
-    std::fill(counts.begin(), counts.end(), 0u);
+    std::fill(counts, counts + n, 0u);
     std::uint32_t size = 0;
     std::uint32_t root = 0;
     for (std::uint32_t u = 0; u < n; ++u) {
@@ -387,14 +407,14 @@ std::uint64_t ProbeSlices::largest_component(const Views& views,
   };
   const std::uint32_t giant = largest_tree().second;
 
-  // O in the edge list, which pass 1 has consumed: at most n - 1 entries.
+  // O: at most n - 1 nodes, so clear of the counts.
   std::uint32_t* const outside = edges_.data();
   std::size_t outside_count = 0;
   for (std::uint32_t u = 0; u < n; ++u) {
     if (views.live(u) && find(u) != giant) outside[outside_count++] = u;
   }
   const std::uint32_t limit = id_limit();
-  std::fill(counts.begin(), counts.end(), 0u);
+  std::fill(counts, counts + n, 0u);
   for (std::size_t i = 0; i < outside_count; ++i) {
     const std::uint32_t u = outside[i];
     const PackedViewEntry* const row = views.row(u);

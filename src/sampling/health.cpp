@@ -21,11 +21,19 @@ HealthReport measure_health(const sim::Cluster& cluster, bool with_spectral) {
   std::vector<std::size_t> live_in(cluster.size(), 0);
   std::size_t dead_refs = 0;
   std::size_t refs = 0;
-  for (const NodeId u : cluster.live_nodes()) {
-    out_stats.add(static_cast<double>(cluster.node(u).view().degree()));
-    for (const NodeId v : cluster.node(u).view().ids()) {
+  // Live nodes in id order, each view's ids copied into one scratch row.
+  std::vector<NodeId> ids;
+  const std::vector<bool>& live = cluster.liveness();
+  for (NodeId u = 0; u < cluster.size(); ++u) {
+    if (!live[u]) continue;
+    const LocalView& view = cluster.node(u).view();
+    out_stats.add(static_cast<double>(view.degree()));
+    ids.resize(view.capacity());
+    const std::size_t degree = view.copy_ids(ids.data());
+    for (std::size_t j = 0; j < degree; ++j) {
+      const NodeId v = ids[j];
       ++refs;
-      if (v >= cluster.size() || !cluster.live(v)) {
+      if (v >= cluster.size() || !live[v]) {
         ++dead_refs;
       } else {
         ++live_in[v];
@@ -37,8 +45,8 @@ HealthReport measure_health(const sim::Cluster& cluster, bool with_spectral) {
   report.out_sd = out_stats.stddev();
 
   RunningStats in_stats;
-  for (const NodeId u : cluster.live_nodes()) {
-    in_stats.add(static_cast<double>(live_in[u]));
+  for (NodeId u = 0; u < cluster.size(); ++u) {
+    if (live[u]) in_stats.add(static_cast<double>(live_in[u]));
   }
   report.in_mean = in_stats.mean();
   report.in_sd = in_stats.stddev();

@@ -1,6 +1,9 @@
 #include "sampling/spatial.hpp"
 
 #include <algorithm>
+#include <vector>
+
+#include "common/id_set.hpp"
 
 namespace gossip::sampling {
 
@@ -28,15 +31,21 @@ double SpatialDependence::independence_estimate() const {
 
 SpatialDependence measure_spatial_dependence(const sim::Cluster& cluster) {
   SpatialDependence out;
+  // Scratch reused across views, so the scan allocates nothing per view.
+  std::vector<NodeId> ids;
+  IdSet seen;
+  const std::vector<bool>& live = cluster.liveness();
   for (NodeId u = 0; u < cluster.size(); ++u) {
-    if (!cluster.live(u)) continue;
-    const auto& view = cluster.node(u).view();
-    out.entries += view.degree();
-    out.intra_view_duplicates += view.intra_view_duplicates();
-    for (const auto& entry : view.entries()) {
-      if (entry.dependent) ++out.tagged_dependent;
-      if (entry.id == u) ++out.self_edges;
+    if (!live[u]) continue;
+    const LocalView& view = cluster.node(u).view();
+    ids.resize(view.capacity());
+    const std::size_t degree = view.copy_ids(ids.data());
+    out.entries += degree;
+    for (std::size_t j = 0; j < degree; ++j) {
+      out.self_edges += ids[j] == u ? 1 : 0;
     }
+    out.tagged_dependent += view.dependent_count();
+    out.intra_view_duplicates += view.intra_view_duplicates(seen);
   }
   return out;
 }

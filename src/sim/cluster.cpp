@@ -91,9 +91,15 @@ void Cluster::install_graph(const Digraph& graph) {
 }
 
 Digraph Cluster::snapshot() const {
-  Digraph g(nodes_.size());
+  std::size_t entries = 0;
+  for (const auto& node : nodes_) entries += node->view().degree();
+  Digraph g(nodes_.size(), entries);
   for (NodeId id = 0; id < nodes_.size(); ++id) {
-    for (const NodeId v : nodes_[id]->view().ids()) {
+    const LocalView& view = nodes_[id]->view();
+    const PackedViewEntry* slots = view.slots();
+    for (std::size_t i = 0; i < view.capacity(); ++i) {
+      if (slots[i].empty()) continue;
+      const NodeId v = slots[i].id_unchecked();
       if (v < nodes_.size()) g.add_edge(id, v);
     }
   }

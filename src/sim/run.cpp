@@ -1,6 +1,8 @@
 #include "sim/run.hpp"
 
 #include <chrono>
+#include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -33,7 +35,7 @@ FlatSendForgetCluster build_cluster(const RunSpec& spec) {
     }
   } else {
     Rng graph_rng(spec.graph_seed);
-    cluster.install_graph(permutation_regular(spec.nodes, dl, graph_rng));
+    install_permutation_regular(cluster, dl, graph_rng);
   }
   return cluster;
 }
@@ -44,6 +46,24 @@ std::ofstream open_if_named(const std::string& path,
 }
 
 }  // namespace
+
+void install_permutation_regular(FlatSendForgetCluster& cluster,
+                                 std::size_t k, Rng& rng) {
+  if (k > cluster.view_size()) {
+    throw std::invalid_argument("k exceeds the view size");
+  }
+  const std::size_t n = cluster.size();
+  draw_permutation_rounds(
+      n, k, rng,
+      [&](std::size_t first, std::size_t count,
+          std::span<const NodeId> perms) {
+        for (NodeId u = 0; u < n; ++u) {
+          for (std::size_t b = 0; b < count; ++b) {
+            cluster.install_slot(u, first + b, perms[b * n + u]);
+          }
+        }
+      });
+}
 
 obs::TheoryPrediction theory_prediction(const SendForgetConfig& protocol,
                                         double loss, double delta) {

@@ -30,6 +30,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/rng.hpp"
 #include "core/flat_send_forget.hpp"
 #include "core/send_forget.hpp"
 #include "obs/export/snapshot.hpp"
@@ -46,10 +47,10 @@
 namespace gossip::sim {
 
 struct RunSpec {
-  // Cluster and initial overlay: dL-regular, from permutation_regular
-  // drawn with Rng(graph_seed), or circulant (slot j of u holds
-  // (u + j + 1) mod n), which never materializes a Digraph: at n = 10^7
-  // its adjacency lists would dwarf the packed slab.
+  // Cluster and initial overlay: dL-regular, the rows of
+  // permutation_regular drawn with Rng(graph_seed), or circulant (slot j of
+  // u holds (u + j + 1) mod n). Both are written straight into the slab; no
+  // Digraph is built.
   std::size_t nodes = 0;
   SendForgetConfig protocol = default_send_forget_config();
   std::uint64_t graph_seed = 1;
@@ -115,6 +116,15 @@ struct RunSpec {
 void add_snapshot_sinks(obs::SnapshotStreamer& streamer,
                         const std::string& snapshot_out,
                         const std::string& prom_out);
+
+// Seeds the empty views of `cluster` with the rows of
+// permutation_regular(cluster.size(), k, rng), slot r of each row from
+// round r, without building the Digraph: the same draws, views and next
+// draw of `rng` as cluster.install_graph(permutation_regular(...)), for a
+// transient buffer of kPermutationBatch x n x 4 B. Throws
+// std::invalid_argument if k exceeds the view size.
+void install_permutation_regular(FlatSendForgetCluster& cluster,
+                                 std::size_t k, Rng& rng);
 
 class FlatRun {
  public:

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 
+#include "core/flat_send_forget.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/graph_stats.hpp"
+#include "sim/run.hpp"
 
 namespace gossip {
 namespace {
@@ -117,11 +120,35 @@ void expect_matches_reference(std::size_t n, std::size_t k,
   EXPECT_TRUE(g == expected);
   EXPECT_EQ(g.edge_count(), n * k);
   for (NodeId u = 0; u < n; ++u) {
-    ASSERT_EQ(g.out_neighbors(u), expected.out_neighbors(u)) << "node " << u;
+    ASSERT_TRUE(std::ranges::equal(g.out_neighbors(u),
+                                   expected.out_neighbors(u)))
+        << "node " << u;
     ASSERT_EQ(g.in_degree(u), k) << "node " << u;
   }
   // Callers such as `simulate` keep drawing from the same generator.
-  EXPECT_EQ(rng(), reference_rng());
+  const Rng::result_type next = rng();
+  EXPECT_EQ(next, reference_rng());
+
+  // The slab sink writes the same rows into a flat cluster from the same
+  // draws: the views, the fingerprint and the next draw all match.
+  const SendForgetConfig config{
+      .view_size = std::max<std::size_t>(6, k + k % 2), .min_degree = 0};
+  std::uint64_t graph_fingerprint = 0;
+  {
+    FlatSendForgetCluster from_graph(n, config);
+    from_graph.install_graph(g);
+    graph_fingerprint = from_graph.fingerprint();
+  }
+  Rng slab_rng(seed);
+  FlatSendForgetCluster from_slab(n, config);
+  sim::install_permutation_regular(from_slab, k, slab_rng);
+  EXPECT_EQ(from_slab.fingerprint(), graph_fingerprint);
+  for (NodeId u = 0; u < n; ++u) {
+    ASSERT_TRUE(std::ranges::equal(from_slab.view_ids(u),
+                                   expected.out_neighbors(u)))
+        << "node " << u;
+  }
+  EXPECT_EQ(slab_rng(), next);
 }
 
 TEST(GraphGen, PermutationRegularMatchesEdgeAtATimeReference) {

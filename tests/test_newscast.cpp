@@ -83,7 +83,8 @@ TEST(Newscast, MergeKeepsYoungestPerIdAndCapsAtCapacity) {
   EXPECT_TRUE(node.view().contains(8));
   EXPECT_TRUE(node.view().contains(9));
   // No duplicates within the view.
-  EXPECT_EQ(node.view().intra_view_duplicates(), 0u);
+  IdSet scratch;
+  EXPECT_EQ(node.view().intra_view_duplicates(scratch), 0u);
 }
 
 TEST(Newscast, NeverStoresOwnId) {

@@ -320,6 +320,38 @@ obs::FlatClusterProbe sliced_probe(const Views& views, std::size_t slices,
   return probe.merge(views);
 }
 
+// Slices past the first count in 8 bits and list each wrap. Every row holds
+// id 0 twice and id 1 once, so with 256 rows a slice counts 512 of id 0 and
+// 256 of id 1: both wrap back to exactly 0, and the merge must still add
+// them up to the one-slice census.
+TEST(ObsParallel, SlicedInDegreeCountsPastTheByteLimit) {
+  const std::size_t n = 1024;
+  FlatSendForgetCluster cluster(n, SendForgetConfig{.view_size = 6,
+                                                    .min_degree = 0});
+  for (NodeId u = 0; u < n; ++u) {
+    cluster.install_view(u, {0, 0, 1, static_cast<NodeId>((u + 1) % n)});
+  }
+  cluster.kill(700);
+  std::vector<std::uint32_t> serial_occurrences;
+  const obs::FlatClusterProbe serial =
+      obs::ProbeSlices().run(obs::FlatViews(cluster), /*components=*/true,
+                             &serial_occurrences);
+  // Every live row holds 0 twice and 1 once; rows n - 1 and 0 hold them
+  // once more as successors.
+  EXPECT_EQ(serial_occurrences[0], 2 * (n - 1) + 1);
+  EXPECT_EQ(serial_occurrences[1], n - 1 + 1);
+  EXPECT_EQ(serial_occurrences[2], 1u);
+  EXPECT_EQ(serial_occurrences[701], 0u);  // its only holder is dead
+  EXPECT_EQ(serial.indegree.max, 2 * (n - 1) + 1);
+  for (std::size_t slices = 2; slices <= 5; ++slices) {
+    SCOPED_TRACE(testing::Message() << slices << " slices");
+    std::vector<std::uint32_t> occurrences;
+    EXPECT_TRUE(sliced_probe(obs::FlatViews(cluster), slices,
+                             /*components=*/true, occurrences) == serial);
+    EXPECT_EQ(occurrences, serial_occurrences);
+  }
+}
+
 // The branch-free census against the line-by-line reference, flat engine.
 TEST(ObsParallel, FlatCensusMatchesTheLineByLineReference) {
   const std::size_t s = 6;

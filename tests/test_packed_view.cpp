@@ -267,7 +267,8 @@ TEST(PackedView, LockstepEquivalenceWithUnpackedReference) {
     const Digraph g = permutation_regular(n, cfg.min_degree, graph_rng);
     for (NodeId u = 0; u < n; ++u) {
       packed.install_view(u, g.out_neighbors(u));
-      reference.install_view(u, g.out_neighbors(u));
+      reference.install_view(u, std::vector<NodeId>(g.out_neighbors(u).begin(),
+                                                    g.out_neighbors(u).end()));
     }
     // Start a block of nodes with full views so the d(u) = s deletion path
     // is exercised early (steady state rarely reaches it from dL).

@@ -257,7 +257,9 @@ TEST(Robustness, SnapshotIgnoresIdsOutsideTheCluster) {
   const Digraph g = cluster.snapshot();
   EXPECT_EQ(g.node_count(), 4u);
   EXPECT_EQ(g.edge_count(), 1u);
-  EXPECT_EQ(g.out_neighbors(0), (std::vector<NodeId>{1}));
+  EXPECT_EQ(std::vector<NodeId>(g.out_neighbors(0).begin(),
+                                g.out_neighbors(0).end()),
+            (std::vector<NodeId>{1}));
   EXPECT_EQ(g.in_degree(1), 1u);
 
   const sampling::HealthReport report =

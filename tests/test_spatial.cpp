@@ -6,6 +6,7 @@
 
 #include "analysis/independence.hpp"
 #include "core/baselines/push_pull.hpp"
+#include "core/packed_view.hpp"
 #include "core/send_forget.hpp"
 #include "graph/graph_gen.hpp"
 #include "sim/round_driver.hpp"
@@ -44,6 +45,20 @@ TEST(SpatialDependence, CountsIntraViewDuplicates) {
   const auto dep = measure_spatial_dependence(cluster);
   EXPECT_EQ(dep.intra_view_duplicates, 2u);
   EXPECT_NEAR(dep.structural_fraction(), 2.0 / 3.0, 1e-12);
+}
+
+// Duplicates are counted within each view, also for ids the cluster does
+// not have (up to the largest packable id).
+TEST(SpatialDependence, CountsDuplicatesPerViewIncludingIdsOutsideTheCluster) {
+  sim::Cluster cluster(3, sf_factory());
+  const NodeId far = PackedViewEntry::kMaxId;
+  cluster.node(0).install_view({1, 1, 2, far, far});
+  cluster.node(1).install_view({1, 2, 2, far});
+  cluster.node(2).install_view({0, 1});
+  const auto dep = measure_spatial_dependence(cluster);
+  EXPECT_EQ(dep.entries, 11u);
+  EXPECT_EQ(dep.intra_view_duplicates, 3u);  // node 0: 1 and far; node 1: 2
+  EXPECT_EQ(dep.self_edges, 1u);             // node 1 holds 1
 }
 
 TEST(SpatialDependence, CountsReciprocalEdges) {

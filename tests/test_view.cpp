@@ -119,14 +119,28 @@ TEST(LocalView, DependentCount) {
   EXPECT_EQ(v.dependent_count(), 2u);
 }
 
+TEST(LocalView, CopyIdsMatchesIdsAndSkipsEmptySlots) {
+  LocalView v(6);
+  std::vector<NodeId> out(v.capacity(), 99);
+  EXPECT_EQ(v.copy_ids(out.data()), 0u);
+  v.set(1, ViewEntry{4, true});
+  v.set(3, ViewEntry{0, false});
+  v.set(5, ViewEntry{4, false});
+  ASSERT_EQ(v.copy_ids(out.data()), 3u);
+  out.resize(3);
+  EXPECT_EQ(out, v.ids());
+  EXPECT_EQ(out, (std::vector<NodeId>{4, 0, 4}));
+}
+
 TEST(LocalView, IntraViewDuplicates) {
   LocalView v(6);
-  EXPECT_EQ(v.intra_view_duplicates(), 0u);
+  IdSet scratch;
+  EXPECT_EQ(v.intra_view_duplicates(scratch), 0u);
   v.set(0, ViewEntry{7, false});
   v.set(1, ViewEntry{7, false});
   v.set(2, ViewEntry{7, false});
   v.set(3, ViewEntry{8, false});
-  EXPECT_EQ(v.intra_view_duplicates(), 2u);
+  EXPECT_EQ(v.intra_view_duplicates(scratch), 2u);
 }
 
 TEST(LocalView, ClearAll) {
