@@ -176,7 +176,8 @@ BENCHMARK(BM_VectorPushDrain);
 // operating point: live_count() actions, each with its message delivery.
 // At n = 2,000 the cluster fits in cache; at n = 50,000 every action walks
 // the node's protocol object and view row from memory, which is the cost
-// the driver's batch prefetch hides.
+// the driver's batch prefetch hides; at n = 200,000 the object table and
+// heap outgrow L2 as well.
 void BM_RoundDriverRound(benchmark::State& state) {
   Rng rng(4);
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -193,7 +194,7 @@ void BM_RoundDriverRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(cluster.live_count()));
 }
-BENCHMARK(BM_RoundDriverRound)->Arg(2000)->Arg(50000);
+BENCHMARK(BM_RoundDriverRound)->Arg(2000)->Arg(50000)->Arg(200000);
 
 // One round of the flat-storage sharded driver (sharded hot path: no
 // per-action allocation, no virtual dispatch, row-local slot draws).

@@ -8,11 +8,13 @@ namespace gossip::sim {
 
 Cluster::Cluster(std::size_t node_count, const ProtocolFactory& factory) {
   nodes_.reserve(node_count);
+  rows_.reserve(node_count);
   live_ids_.reserve(node_count);
   live_pos_.reserve(node_count);
   for (NodeId id = 0; id < node_count; ++id) {
     nodes_.push_back(factory(id));
     assert(nodes_.back()->self() == id);
+    track_row(id);
     live_ids_.push_back(id);
     live_pos_.push_back(id);
   }
@@ -53,6 +55,7 @@ void Cluster::revive(NodeId id, const ProtocolFactory& factory) {
   if (live_[id]) throw std::logic_error("node already live");
   nodes_[id] = factory(id);
   assert(nodes_[id]->self() == id);
+  track_row(id);
   live_[id] = true;
   live_pos_[id] = live_ids_.size();
   live_ids_.push_back(id);
@@ -63,11 +66,23 @@ NodeId Cluster::spawn(const ProtocolFactory& factory) {
   const auto id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(factory(id));
   assert(nodes_.back()->self() == id);
+  track_row(id);
   live_.push_back(true);
   live_pos_.push_back(live_ids_.size());
   live_ids_.push_back(id);
   ++live_count_;
   return id;
+}
+
+void Cluster::track_row(NodeId id) {
+  const LocalView& view = nodes_[id]->view();
+  if (id == rows_.size()) {
+    rows_.push_back(view.slots());
+  } else {
+    rows_[id] = view.slots();
+  }
+  row_bytes_ =
+      std::max(row_bytes_, view.capacity() * sizeof(PackedViewEntry));
 }
 
 NodeId Cluster::random_live_node(Rng& rng) const {

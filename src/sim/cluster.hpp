@@ -5,7 +5,9 @@
 // protocol views and membership graphs (§4's graph model) for analysis.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -31,6 +33,41 @@ class Cluster {
   [[nodiscard]] const PeerProtocol& node(NodeId id) const;
 
   [[nodiscard]] bool live(NodeId id) const;
+
+  // Node id's view row: node(id).view().slots(), kept beside the object
+  // pointer so that a caller holding only the id reaches both addresses
+  // without loading the object first. A LocalView never reallocates its
+  // row, so only creating or replacing an object moves it.
+  [[nodiscard]] const PackedViewEntry* row(NodeId id) const {
+    assert(id < rows_.size());
+    return rows_[id];
+  }
+
+  // Hints node u's protocol object (its first three lines: vptr, view
+  // handle, metrics, config) and every line of its view row toward cache.
+  // Both addresses come from the id, so the two misses overlap instead of
+  // the row waiting for the object that points to it. The round driver
+  // issues this four picks ahead, and the direct network for a receiver
+  // before its fate draws. Requires u < size(): a view may hold larger ids,
+  // so callers check. No architectural effect.
+  //
+  // always_inline for the reason FlatSendForgetCluster::prefetch_node
+  // gives: GCC deletes a call to a function whose only effects are
+  // prefetches unless it was inlined first. The prefetch_codegen_cluster
+  // test checks that a call still emits a prefetch instruction.
+  [[gnu::always_inline]] void prefetch_node(NodeId u) const {
+    constexpr std::uintptr_t kLine = 64;
+    const auto object = reinterpret_cast<std::uintptr_t>(nodes_[u].get());
+    for (std::uintptr_t k = 0; k < 3; ++k) {
+      __builtin_prefetch(reinterpret_cast<const void*>(object + k * kLine));
+    }
+    const auto row = reinterpret_cast<std::uintptr_t>(rows_[u]);
+    const std::uintptr_t end = row + row_bytes_;
+    for (std::uintptr_t line = row & ~(kLine - 1); line < end;
+         line += kLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    }
+  }
 
   // Marks a node dead (leave/failure: it simply stops participating, §5).
   // Its view is left untouched; other views keep referencing it until the
@@ -68,7 +105,16 @@ class Cluster {
   [[nodiscard]] ProtocolMetrics aggregate_metrics() const;
 
  private:
+  // Records node id's row address and widens row_bytes_ to its row.
+  void track_row(NodeId id);
+
   std::vector<std::unique_ptr<PeerProtocol>> nodes_;
+  // rows_[id] == nodes_[id]->view().slots(), refreshed wherever an object
+  // is created or replaced.
+  std::vector<const PackedViewEntry*> rows_;
+  // Bytes of the widest row any node has had; prefetch_node covers this
+  // many from each row (a narrower row's tail hint is harmless).
+  std::size_t row_bytes_ = 0;
   std::vector<bool> live_;
   // Dense array of live ids (arbitrary order) plus each id's position in
   // it; kill() swap-removes, revive()/spawn() append. Powers O(1) uniform

@@ -47,6 +47,8 @@ DirectNetwork::DirectNetwork(Cluster& cluster, LossModel& loss, Rng& rng)
     : cluster_(cluster), loss_(loss), rng_(rng) {}
 
 void DirectNetwork::send(Message message) {
+  // The receiver's object and row are fetched while the fate draws run.
+  if (message.to < cluster_.size()) cluster_.prefetch_node(message.to);
   ++metrics_.sent;
   std::uint64_t id = 0;
   // No kSend event: delivery is inline, so the fate event recorded below

@@ -10,8 +10,8 @@
 // Nothing inside a batch changes liveness (churn, kills and revives happen
 // between driver calls), so the picks stay i.i.d. uniform over the live
 // set; knowing them up front lets each action prefetch the protocol object
-// two picks ahead and the view row one pick ahead (DESIGN.md "Picks drawn
-// per batch, prefetched two ahead").
+// and view row of the pick four ahead (DESIGN.md "Picks drawn per batch,
+// initiator and receiver fetched by id").
 #pragma once
 
 #include <cstdint>

@@ -57,6 +57,26 @@ TEST(ClusterTest, Spawn) {
   EXPECT_TRUE(c.live(id));
 }
 
+// row(u) is a second copy of each node's row address; it must follow every
+// object the cluster creates or replaces.
+TEST(ClusterTest, RowAddressFollowsReviveAndSpawn) {
+  Cluster c(4, sf_factory());
+  const auto expect_rows_match = [&c] {
+    for (NodeId u = 0; u < c.size(); ++u) {
+      EXPECT_EQ(c.row(u), c.node(u).view().slots()) << "node " << u;
+    }
+  };
+  expect_rows_match();
+  c.kill(1);
+  expect_rows_match();
+  c.revive(1, sf_factory());
+  expect_rows_match();
+  c.spawn(sf_factory(10, 0));
+  c.spawn(sf_factory());
+  EXPECT_EQ(c.size(), 6u);
+  expect_rows_match();
+}
+
 TEST(ClusterTest, RandomLiveNodeSkipsDead) {
   Cluster c(4, sf_factory());
   c.kill(0);
